@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
-	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/shard"
 )
@@ -54,12 +54,15 @@ type httpQuery struct {
 
 // httpResult is the JSON response body.
 type httpResult struct {
-	N        int         `json:"n"`
-	HullSize int         `json:"hull_size"`
-	Chain    [][]float64 `json:"chain,omitempty"`
-	Facets   int         `json:"facets,omitempty"`
-	Cached   bool        `json:"cached"`
-	Tier     string      `json:"tier"`
+	N        int `json:"n"`
+	HullSize int `json:"hull_size"`
+	// Chain is the 2-d upper hull as [x,y] pairs. serveHull leaves it nil
+	// and writeHullResult encodes the chain in its place, byte for byte as
+	// this field would encode.
+	Chain  [][]float64 `json:"chain,omitempty"`
+	Facets int         `json:"facets,omitempty"`
+	Cached bool        `json:"cached"`
+	Tier   string      `json:"tier"`
 	// Backend names the engine that computed the answer ("counted" or
 	// "native"); also echoed as the X-Hull-Backend response header.
 	Backend string `json:"backend"`
@@ -263,47 +266,25 @@ func (s *Server) serveHull(w http.ResponseWriter, req *http.Request, dim int) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var hq httpQuery
-	if err := json.NewDecoder(req.Body).Decode(&hq); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(), Kind: "invalid input"})
+	bp, err := readBody(w, req)
+	if err != nil {
+		writeBodyErr(w, req, err)
 		return
 	}
-	q := Query{Dataset: hq.Dataset, Seed: hq.Seed, NoCache: hq.NoCache,
-		RequireExact: hq.RequireExact, ApproxEps: hq.ApproxEps, Shards: hq.Shards,
-		Backend: hq.Backend, Cull: hq.Cull}
-	switch hq.Algorithm {
-	case "", "hull2d":
-		q.Algo = AlgoHull2D
-	case "presorted":
-		q.Algo = AlgoPresorted
-	case "logstar":
-		q.Algo = AlgoLogStar
-	default:
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "unknown algorithm " + hq.Algorithm, Kind: "invalid input"})
+	q, deadlineMS, err := decodeHullQuery(*bp, dim)
+	putBuf(bp)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
 		return
-	}
-	for i, c := range hq.Points {
-		if len(c) != dim {
-			writeJSON(w, http.StatusBadRequest, httpError{
-				Error: "point " + itoa(i) + " has " + itoa(len(c)) + " coordinates, want " + itoa(dim),
-				Kind:  "invalid input"})
-			return
-		}
-		if dim == 3 {
-			q.Points3 = append(q.Points3, geom.Point3{X: c[0], Y: c[1], Z: c[2]})
-		} else {
-			q.Points2 = append(q.Points2, geom.Point{X: c[0], Y: c[1]})
-		}
 	}
 
 	ctx := req.Context()
-	if hq.DeadlineMS > 0 {
+	if deadlineMS > 0 {
 		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(hq.DeadlineMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		defer cancel()
 	}
 	var res Result
-	var err error
 	if dim == 3 {
 		res, err = s.Query3D(ctx, q)
 	} else {
@@ -329,16 +310,12 @@ func (s *Server) serveHull(w http.ResponseWriter, req *http.Request, dim int) {
 	}
 	w.Header().Set("X-Hull-Tier", out.Tier)
 	w.Header().Set("X-Hull-Backend", out.Backend)
-	w.Header().Set("X-Hull-Culled", itoa(res.Culled)+"/"+itoa(res.N))
+	w.Header().Set("X-Hull-Culled", strconv.Itoa(res.Culled)+"/"+strconv.Itoa(res.N))
 	if dim == 3 {
 		out.HullSize = res.Facets
 		out.Facets = res.Facets
 	} else {
 		out.HullSize = len(res.Chain)
-		out.Chain = make([][]float64, len(res.Chain))
-		for i, p := range res.Chain {
-			out.Chain[i] = []float64{p.X, p.Y}
-		}
 	}
 	status := http.StatusOK
 	if partial {
@@ -348,24 +325,5 @@ func (s *Server) serveHull(w http.ResponseWriter, req *http.Request, dim int) {
 		status = http.StatusPartialContent
 		w.Header().Set("X-Hull-Partial", "true")
 	}
-	writeJSON(w, status, out)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	if neg {
-		return "-" + string(b)
-	}
-	return string(b)
+	writeHullResult(w, status, out, res.Chain)
 }

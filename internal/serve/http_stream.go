@@ -112,23 +112,13 @@ func writeNotFound(w http.ResponseWriter, req *http.Request, name string) {
 // an idempotent no-op; different content is a 400 (DELETE it first).
 func (s *Server) serveStreamRegister(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("name")
-	var body httpPoints
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(), Kind: "invalid input"})
+	bp, err := readBody(w, req)
+	if err != nil {
+		writeBodyErr(w, req, err)
 		return
 	}
-	dim := body.Dim
-	if dim == 0 {
-		dim = 2
-		if len(body.Points) > 0 {
-			dim = len(body.Points[0])
-		}
-	}
-	if dim != 2 && dim != 3 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "dim must be 2 or 3", Kind: "invalid input"})
-		return
-	}
-	p2, p3, err := parseCoords(body.Points, dim)
+	p2, p3, dim, err := decodePoints(*bp, 0)
+	putBuf(bp)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
 		return
@@ -170,12 +160,13 @@ func (s *Server) serveStreamMutate(w http.ResponseWriter, req *http.Request, del
 		writeNotFound(w, req, name)
 		return
 	}
-	var body httpPoints
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(), Kind: "invalid input"})
+	bp, err := readBody(w, req)
+	if err != nil {
+		writeBodyErr(w, req, err)
 		return
 	}
-	p2, p3, err := parseCoords(body.Points, sd.Dim())
+	p2, p3, _, err := decodePoints(*bp, sd.Dim())
+	putBuf(bp)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
 		return

@@ -1,0 +1,551 @@
+package serve
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"inplacehull/internal/geom"
+	"inplacehull/internal/shard"
+)
+
+// The wire codec of the point-carrying bodies (POST /v1/hull2d|3d, PUT
+// /v1/datasets/{name}, POST …/append|/delete) and of the 2-d chain in
+// hull answers. A request body is read once into a pooled buffer; a
+// single-pass scanner then parses the common shape — exact-case known
+// keys, plain strings, JSON numbers, points of the right arity — straight
+// into pre-sized geom slices. Anything else (escapes, other key casing,
+// null, unknown keys, out-of-range numbers, malformed input, anything
+// that would be rejected) is decoded again from the same bytes by
+// encoding/json, which stays the definition of the accept set and of
+// every error message. The scanner only ever answers "accepted, with
+// these values" or "not mine"; FuzzHTTPQuery checks it against the
+// reflective decoder.
+
+// maxBodyBytes caps the request body of the hull and stream endpoints:
+// 8 MiB, 128 bytes per point of a 65 536-point 3-d PUT (17-digit
+// coordinates take about 65).
+const maxBodyBytes = 8 << 20
+
+// maxPooledBuf bounds the buffers bufPool keeps: a rare multi-megabyte
+// dataset upload is not worth pinning.
+const maxPooledBuf = 1 << 20
+
+var bufPool sync.Pool // of *[]byte
+
+func getBuf(n int) *[]byte {
+	bp, _ := bufPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < n {
+		*bp = make([]byte, 0, n)
+	}
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
+}
+
+// readBody reads the whole request body, at most maxBodyBytes, into a
+// pooled buffer sized from Content-Length. A larger body fails with
+// *http.MaxBytesError, before any of it is read when its length is
+// declared. The caller hands the buffer back with putBuf once nothing
+// references its bytes.
+func readBody(w http.ResponseWriter, req *http.Request) (*[]byte, error) {
+	if req.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	// One spare byte, so the Read that reports EOF needs no growth.
+	bp := getBuf(int(req.ContentLength) + 1)
+	b := *bp
+	r := http.MaxBytesReader(w, req.Body, maxBodyBytes)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*bp = b
+			putBuf(bp)
+			return nil, err
+		}
+	}
+	*bp = b
+	return bp, nil
+}
+
+// writeBodyErr answers a body that could not be read: 413 for one over
+// the cap, 400 for a broken transfer.
+func writeBodyErr(w http.ResponseWriter, req *http.Request, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, httpError{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+			Kind:  "invalid input", RequestID: shard.RequestIDFrom(req.Context())})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(), Kind: "invalid input"})
+}
+
+// decodeHullQuery decodes a POST /v1/hull2d|3d body for dimension dim
+// into a Query and its deadline_ms. A non-nil error is the message of
+// the 400 answer.
+func decodeHullQuery(body []byte, dim int) (Query, int, error) {
+	var hq httpQuery
+	var q Query
+	fast := scanHullQuery(body, dim, &hq, &q)
+	if !fast {
+		hq, q = httpQuery{}, Query{}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&hq); err != nil {
+			return q, 0, errors.New("bad JSON: " + err.Error())
+		}
+	}
+	q.Dataset, q.Seed, q.NoCache = hq.Dataset, hq.Seed, hq.NoCache
+	q.RequireExact, q.ApproxEps, q.Shards = hq.RequireExact, hq.ApproxEps, hq.Shards
+	q.Backend, q.Cull = hq.Backend, hq.Cull
+	switch hq.Algorithm {
+	case "", "hull2d":
+		q.Algo = AlgoHull2D
+	case "presorted":
+		q.Algo = AlgoPresorted
+	case "logstar":
+		q.Algo = AlgoLogStar
+	default:
+		return q, 0, errors.New("unknown algorithm " + hq.Algorithm)
+	}
+	if !fast {
+		var err error
+		if q.Points2, q.Points3, err = parseCoords(hq.Points, dim); err != nil {
+			return q, 0, err
+		}
+	}
+	return q, hq.DeadlineMS, nil
+}
+
+// decodePoints decodes a stream body ({"points":[…],"dim":d}) into points
+// of dimension want, or — want 0, registration — of the body's "dim",
+// else the first point's arity, else 2. It returns the dimension used. A
+// non-nil error is the message of the 400 answer.
+func decodePoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, error) {
+	if p2, p3, dim, ok := scanPoints(body, want); ok {
+		return p2, p3, dim, nil
+	}
+	var hp httpPoints
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&hp); err != nil {
+		return nil, nil, 0, errors.New("bad JSON: " + err.Error())
+	}
+	dim := want
+	if dim == 0 {
+		dim = hp.Dim
+		if dim == 0 {
+			dim = 2
+			if len(hp.Points) > 0 {
+				dim = len(hp.Points[0])
+			}
+		}
+		if dim != 2 && dim != 3 {
+			return nil, nil, 0, errors.New("dim must be 2 or 3")
+		}
+	}
+	p2, p3, err := parseCoords(hp.Points, dim)
+	return p2, p3, dim, err
+}
+
+// scanHullQuery is the single-pass path of decodeHullQuery: on success
+// the scalar fields are in hq and the points in q.
+func scanHullQuery(body []byte, dim int, hq *httpQuery, q *Query) bool {
+	s := scanner{b: body}
+	// A repeated key overwrites, as encoding/json's last one wins.
+	return s.object(func(key []byte) bool {
+		ok := false
+		switch string(key) {
+		case "points":
+			q.Points2, q.Points3, ok = s.points(dim)
+		case "dataset":
+			hq.Dataset, ok = s.str()
+		case "algorithm":
+			hq.Algorithm, ok = s.str()
+		case "seed":
+			hq.Seed, ok = s.uint()
+		case "deadline_ms":
+			hq.DeadlineMS, ok = s.int()
+		case "no_cache":
+			hq.NoCache, ok = s.bool()
+		case "require_exact":
+			hq.RequireExact, ok = s.bool()
+		case "approx_eps":
+			hq.ApproxEps, ok = s.float()
+		case "shards":
+			hq.Shards, ok = s.int()
+		case "backend":
+			hq.Backend, ok = s.str()
+		case "cull":
+			hq.Cull, ok = s.str()
+		}
+		return ok
+	})
+}
+
+// scanPoints is the single-pass path of decodePoints. It succeeds only
+// when encoding/json would decode the body and every point has the
+// arity the dimension rule picks. Repeated keys overwrite, as with
+// encoding/json; the final check sees the last "dim".
+func scanPoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, bool) {
+	s := scanner{b: body}
+	var p2 []geom.Point
+	var p3 []geom.Point3
+	dimField, arity := 0, 0
+	ok := s.object(func(key []byte) bool {
+		ok := false
+		switch string(key) {
+		case "points":
+			// An empty array parses at any arity.
+			arity = cmp.Or(want, dimField, s.peekArity(), 2)
+			if arity != 2 && arity != 3 {
+				return false
+			}
+			p2, p3, ok = s.points(arity)
+		case "dim":
+			dimField, ok = s.int()
+		}
+		return ok
+	})
+	if !ok {
+		return nil, nil, 0, false
+	}
+	if want != 0 {
+		return p2, p3, want, true
+	}
+	dim := dimField
+	if dim == 0 {
+		dim = 2
+		if len(p2)+len(p3) > 0 {
+			dim = arity
+		}
+	}
+	if dim != 2 && dim != 3 || len(p2)+len(p3) > 0 && dim != arity {
+		return nil, nil, 0, false
+	}
+	return p2, p3, dim, true
+}
+
+// scanner walks a JSON body for the fast paths. Every method reports
+// false for input outside the fast subset, which sends the body to
+// encoding/json.
+type scanner struct {
+	b []byte
+	i int
+}
+
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c, after optional whitespace.
+func (s *scanner) eat(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// object scans one top-level object, calling field with each key once
+// the scanner sits before its value; field parses the value. Bytes after
+// the closing brace are ignored, as json.Decoder ignores them.
+func (s *scanner) object(field func(key []byte) bool) bool {
+	if !s.eat('{') {
+		return false
+	}
+	if s.eat('}') {
+		return true
+	}
+	for {
+		s.ws()
+		key, ok := s.strBytes()
+		if !ok || !s.eat(':') || !field(key) {
+			return false
+		}
+		if s.eat('}') {
+			return true
+		}
+		if !s.eat(',') {
+			return false
+		}
+	}
+}
+
+// strBytes scans a string without escapes, control characters or
+// non-ASCII bytes (so its bytes are its value) and returns its contents.
+func (s *scanner) strBytes() ([]byte, bool) {
+	if s.i >= len(s.b) || s.b[s.i] != '"' {
+		return nil, false
+	}
+	for j := s.i + 1; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i+1 : j]
+			s.i = j + 1
+			return v, true
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+func (s *scanner) str() (string, bool) {
+	s.ws()
+	v, ok := s.strBytes()
+	return string(v), ok
+}
+
+// num scans a number of the JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its bytes.
+func (s *scanner) num() ([]byte, bool) {
+	s.ws()
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return nil, false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil, false
+		}
+		i = j
+	}
+	v := b[s.i:i]
+	s.i = i
+	return v, true
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// The value parsers use the strconv calls encoding/json makes for the
+// same Go types, and refuse where it would fail (out of range, a
+// fraction for an integer).
+
+func (s *scanner) float() (float64, bool) {
+	t, ok := s.num()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(t), 64)
+	return f, err == nil
+}
+
+func (s *scanner) int() (int, bool) {
+	t, ok := s.num()
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(t), 10, 64)
+	return int(n), err == nil && int64(int(n)) == n
+}
+
+func (s *scanner) uint() (uint64, bool) {
+	t, ok := s.num()
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(string(t), 10, 64)
+	return n, err == nil
+}
+
+func (s *scanner) bool() (bool, bool) {
+	s.ws()
+	switch {
+	case bytes.HasPrefix(s.b[s.i:], []byte("true")):
+		s.i += 4
+		return true, true
+	case bytes.HasPrefix(s.b[s.i:], []byte("false")):
+		s.i += 5
+		return false, true
+	}
+	return false, false
+}
+
+// points scans an array of dim-coordinate points into a slice sized from
+// a count of the brackets ahead (bounded by the bytes a point needs, so
+// a body of brackets cannot inflate it). An empty array yields nil, as
+// the reflective path's appends do.
+func (s *scanner) points(dim int) ([]geom.Point, []geom.Point3, bool) {
+	if !s.eat('[') {
+		return nil, nil, false
+	}
+	if s.eat(']') {
+		return nil, nil, true
+	}
+	rest := s.b[s.i:]
+	n := min(bytes.Count(rest, []byte{'['}), len(rest)/(2*dim)+1)
+	var p2 []geom.Point
+	var p3 []geom.Point3
+	if dim == 3 {
+		p3 = make([]geom.Point3, 0, n)
+	} else {
+		p2 = make([]geom.Point, 0, n)
+	}
+	var c [3]float64
+	for {
+		if !s.eat('[') {
+			return nil, nil, false
+		}
+		for k := 0; k < dim; k++ {
+			if k > 0 && !s.eat(',') {
+				return nil, nil, false
+			}
+			var ok bool
+			if c[k], ok = s.float(); !ok {
+				return nil, nil, false
+			}
+		}
+		if !s.eat(']') {
+			return nil, nil, false
+		}
+		if dim == 3 {
+			p3 = append(p3, geom.Point3{X: c[0], Y: c[1], Z: c[2]})
+		} else {
+			p2 = append(p2, geom.Point{X: c[0], Y: c[1]})
+		}
+		if s.eat(']') {
+			return p2, p3, true
+		}
+		if !s.eat(',') {
+			return nil, nil, false
+		}
+	}
+}
+
+// peekArity returns the coordinate count of the first point of the
+// points array ahead, without consuming it; 0 when the array is empty or
+// does not start with a flat array of numbers.
+func (s *scanner) peekArity() int {
+	t := *s
+	if !t.eat('[') || !t.eat('[') {
+		return 0
+	}
+	for n := 1; ; n++ {
+		if _, ok := t.float(); !ok {
+			return 0
+		}
+		if t.eat(']') {
+			return n
+		}
+		if !t.eat(',') {
+			return 0
+		}
+	}
+}
+
+// writeHullResult writes out exactly as writeJSON would with out.Chain
+// set to chain's [x,y] pairs, but appends the chain's numbers straight
+// into a pooled buffer instead of building and reflect-encoding a
+// [][]float64. The chain is spliced into encoding/json's rendering of
+// the other fields, right after hull_size, where the struct order puts
+// it. Coordinates are finite: inputs are validated before any hull runs.
+func writeHullResult(w http.ResponseWriter, status int, out httpResult, chain []geom.Point) {
+	if len(chain) == 0 {
+		writeJSON(w, status, out) // omitempty drops an empty chain
+		return
+	}
+	rest, err := json.Marshal(out)
+	if err != nil {
+		writeJSON(w, status, out) // fails the same way, as before
+		return
+	}
+	var pre [64]byte
+	head := strconv.AppendInt(append(pre[:0], `{"n":`...), int64(out.N), 10)
+	head = strconv.AppendInt(append(head, `,"hull_size":`...), int64(out.HullSize), 10)
+	bp := getBuf(len(rest) + 48*len(chain) + 16)
+	b := append(*bp, rest[:len(head)]...)
+	b = append(b, `,"chain":`...)
+	b = appendCoords2(b, chain)
+	b = append(append(b, rest[len(head):]...), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+	*bp = b
+	putBuf(bp)
+}
+
+// appendCoords2 appends pts as a JSON array of [x,y] pairs, byte for byte
+// as encoding/json encodes the equivalent [][]float64.
+func appendCoords2(b []byte, pts []geom.Point) []byte {
+	b = append(b, '[')
+	for i, p := range pts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(append(b, '['), p.X)
+		b = appendFloat(append(b, ','), p.Y)
+		b = append(b, ']')
+	}
+	return append(b, ']')
+}
+
+// appendFloat formats a finite f as encoding/json does (the ES6 number
+// conversion): shortest round-trip digits, 'f' form unless |f| < 1e-6 or
+// |f| >= 1e21, and a two-digit negative exponent trimmed (e-07 → e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
