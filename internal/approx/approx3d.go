@@ -19,6 +19,7 @@ import (
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/lp"
 	"inplacehull/internal/rng"
+	"inplacehull/internal/unsorted"
 )
 
 // Result3D is a certified approximate 3-d cap answer in the shape of the
@@ -124,18 +125,7 @@ func cellMaxima(pts []geom.Point3, g int, lo, hi geom.Point3, o *geom.NoisyOracl
 			cand = append(cand, pts[bi])
 		}
 	}
-	return append(cand, globalTop(pts))
-}
-
-// globalTop returns the exact maximum-z input point (first among ties).
-func globalTop(pts []geom.Point3) geom.Point3 {
-	top := pts[0]
-	for _, p := range pts {
-		if p.Z > top.Z {
-			top = p
-		}
-	}
-	return top
+	return append(cand, unsorted.TopCap(pts).A)
 }
 
 // buildCaps constructs the sampled upper hull and assigns every input
@@ -143,54 +133,20 @@ func globalTop(pts []geom.Point3) geom.Point3 {
 // incremental construction rejects (degenerate geometry) degrades to the
 // single global-top cap, under which no point has positive excess.
 func buildCaps(pts, sample []geom.Point3, rnd *rng.Stream) ([]lp.Solution3D, []int, float64) {
-	n := len(pts)
-	facetOf := make([]int, n)
-	topOnly := func() ([]lp.Solution3D, []int, float64) {
-		top := globalTop(pts)
-		for i := range facetOf {
-			facetOf[i] = 0
-		}
-		return []lp.Solution3D{{A: top, B: top, C: top}}, facetOf, 0
-	}
 	h, err := hull3d.Incremental(rnd, sample)
 	if err != nil {
-		return topOnly()
+		return []lp.Solution3D{unsorted.TopCap(pts)}, make([]int, len(pts)), 0
 	}
-	upper := h.UpperFaces()
-	if len(upper) == 0 {
-		return topOnly()
-	}
-	var facets []lp.Solution3D
-	facetSlot := make(map[int]int)
-	degenerateSlot := -1
+	res := unsorted.CapsFromHull(pts, h)
 	var worst float64
 	for i, p := range pts {
-		fi := hull3d.FaceAbove(h.Pts, upper, p.X, p.Y)
-		if fi < 0 {
-			if degenerateSlot < 0 {
-				top := globalTop(pts)
-				facets = append(facets, lp.Solution3D{A: top, B: top, C: top})
-				degenerateSlot = len(facets) - 1
-			}
-			facetOf[i] = degenerateSlot
-			continue
-		}
-		slot, ok := facetSlot[fi]
-		if !ok {
-			f := upper[fi]
-			facets = append(facets, lp.Solution3D{A: h.Pts[f.A], B: h.Pts[f.B], C: h.Pts[f.C]})
-			slot = len(facets) - 1
-			facetSlot[fi] = slot
-		}
-		facetOf[i] = slot
-		cap := facets[slot]
-		if cap.Violates(p) {
+		if cap := res.Facets[res.FacetOf[i]]; cap.Violates(p) {
 			if d := p.Z - cap.ValueAt(p.X, p.Y); d > worst {
 				worst = d
 			}
 		}
 	}
-	return facets, facetOf, worst
+	return res.Facets, res.FacetOf, worst
 }
 
 // Check3D re-derives the certificate of a Result3D: every point has a

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"inplacehull/internal/geom"
 	"inplacehull/internal/rng"
 	"inplacehull/internal/workload"
 )
@@ -18,6 +19,30 @@ func BenchmarkIncremental(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIncrementalNoisy builds under a single-vote oracle that flips
+// 5% of orientation answers, so most insertions after the first wrong
+// answer take the non-manifold rebuildCone path; the map-based reference
+// builder runs alongside for comparison.
+func BenchmarkIncrementalNoisy(b *testing.B) {
+	for _, n := range []int{1 << 11, 1 << 16} {
+		ball := workload.Ball(1, n)
+		for _, impl := range []struct {
+			name  string
+			build func(*rng.Stream, []geom.Point3, *geom.NoisyOracle) (Hull, error)
+		}{{"arena", IncrementalOracle}, {"reference", referenceIncrementalOracle}} {
+			b.Run("ball/"+strconv.Itoa(n)+"/"+impl.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					noise := rng.New(977)
+					o := &geom.NoisyOracle{Votes: 1, Flip: func() bool { return noise.Float64() < 0.05 }}
+					if _, err := impl.build(rng.New(1), ball, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ package hull3d
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"inplacehull/internal/geom"
 	"inplacehull/internal/rng"
@@ -26,15 +28,26 @@ type Hull struct {
 	Faces []Tri
 }
 
+// face is one triangle of the flat face arena. Faces are never removed:
+// a face killed by an insertion stays in the arena marked dead, so face
+// indices are stable for the whole build.
 type face struct {
-	v        [3]int
+	v [3]int32
+	// nb[e] is the live face across directed edge e = (v[e], v[e+1]): the
+	// face owning the reverse edge, or −1 when no live face does.
+	nb [3]int32
+	// own[e] reports that this face is the current owner of its edge e —
+	// always true while the surface is a closed 2-manifold (see
+	// builder.manifold), tracked for the rare non-manifold steps.
+	own      [3]bool
 	dead     bool
-	conflict []int // unprocessed points that see this face
+	stamp    int32   // insertion step whose visibility BFS found this face visible
+	conflict []int32 // unprocessed points that see this face
 }
 
 // visible reports whether point p sees face f strictly from outside,
 // evaluating the orientation through o (nil = exact).
-func visible(o *geom.NoisyOracle, pts []geom.Point3, f *face, p int) bool {
+func visible(o *geom.NoisyOracle, pts []geom.Point3, f *face, p int32) bool {
 	return o.Orientation3(pts[f.v[0]], pts[f.v[1]], pts[f.v[2]], pts[p]) > 0
 }
 
@@ -52,10 +65,20 @@ func Incremental(rnd *rng.Stream, pts []geom.Point3) (Hull, error) {
 // they compare stored coordinates, which the noisy-primitive model does
 // not corrupt. Under noise the hull may be wrong; callers gate the output
 // behind the exact verification oracle.
+//
+// The faces live in one flat arena with per-edge neighbour indices, and
+// conflict lists reuse the backing arrays of dead faces and inserted
+// points, so the build runs without maps. Insertion, BFS, horizon and
+// conflict-inheritance orders are fixed, so the face list (and the
+// sequence of oracle calls) is a deterministic function of the stream
+// seed.
 func IncrementalOracle(rnd *rng.Stream, pts []geom.Point3, o *geom.NoisyOracle) (Hull, error) {
 	n := len(pts)
 	if n < 4 {
 		return Hull{}, fmt.Errorf("hull3d: need at least 4 points, have %d", n)
+	}
+	if n > math.MaxInt32 {
+		return Hull{}, fmt.Errorf("hull3d: %d points exceed the 32-bit face arena", n)
 	}
 	order := rnd.Perm(n)
 
@@ -104,154 +127,393 @@ func IncrementalOracle(rnd *rng.Stream, pts []geom.Point3, o *geom.NoisyOracle) 
 		i1, i2 = i2, i1
 	}
 	// Now i3 is on the negative side of (i0, i1, i2): that face is outward.
-	faces := []*face{
-		{v: [3]int{i0, i1, i2}},
-		{v: [3]int{i0, i3, i1}},
-		{v: [3]int{i1, i3, i2}},
-		{v: [3]int{i2, i3, i0}},
+	b := &builder{
+		pts:       pts,
+		o:         o,
+		processed: make([]bool, n),
+		pt2faces:  make([][]int32, n),
+		seen:      make([]int32, n),
+		coneAt:    make([]int32, n),
+		coneStamp: make([]int32, n),
+		manifold:  true,
 	}
-	inSimplex := map[int]bool{i0: true, i1: true, i2: true, i3: true}
+	for _, t := range [][3]int{{i0, i1, i2}, {i0, i3, i1}, {i1, i3, i2}, {i2, i3, i0}} {
+		b.faces = append(b.faces, face{v: [3]int32{int32(t[0]), int32(t[1]), int32(t[2])}})
+	}
+	simplex := []int32{0, 1, 2, 3}
+	for _, f := range simplex {
+		for e := 0; e < 3; e++ {
+			b.setKey(simplex, f, e)
+		}
+	}
+	b.touched = b.touched[:0]
+	for _, i := range []int{i0, i1, i2, i3} {
+		b.processed[i] = true
+	}
+	for i := range b.seen {
+		b.seen[i] = -1
+	}
 
 	// Bipartite conflict lists (de Berg et al.): every unprocessed point
 	// is listed on *every* face it currently sees, and keeps its own list
 	// of those faces. A point with no live listed face is interior — the
 	// standard lemma guarantees any point seeing a new cone face saw one
 	// of the two faces incident on its horizon edge before the update.
-	processed := make([]bool, n)
-	for i := range inSimplex {
-		processed[i] = true
-	}
-	pt2faces := make([][]*face, n)
-	link := func(p int, f *face) {
-		f.conflict = append(f.conflict, p)
-		pt2faces[p] = append(pt2faces[p], f)
-	}
 	for _, p := range order {
-		if processed[p] {
+		if b.processed[p] {
 			continue
 		}
-		for _, f := range faces {
-			if visible(o, pts, f, p) {
-				link(p, f)
+		for f := range b.faces {
+			if visible(o, pts, &b.faces[f], int32(p)) {
+				b.link(int32(p), int32(f))
 			}
 		}
 	}
 
-	// Directed-edge adjacency: edge (u, v) of a face maps to that face;
-	// the neighbor across is edgeFace[(v, u)].
-	type edge struct{ u, v int }
-	edgeFace := make(map[edge]*face)
-	register := func(f *face) {
-		edgeFace[edge{f.v[0], f.v[1]}] = f
-		edgeFace[edge{f.v[1], f.v[2]}] = f
-		edgeFace[edge{f.v[2], f.v[0]}] = f
-	}
-	unregister := func(f *face) {
-		delete(edgeFace, edge{f.v[0], f.v[1]})
-		delete(edgeFace, edge{f.v[1], f.v[2]})
-		delete(edgeFace, edge{f.v[2], f.v[0]})
-	}
-	for _, f := range faces {
-		register(f)
-	}
-
-	for _, p := range order {
-		if processed[p] {
+	var visibleList []int32
+	var horizon []hEdge
+	stamp := int32(0)
+	for _, pi := range order {
+		if b.processed[pi] {
 			continue
 		}
-		processed[p] = true
-		var start *face
-		for _, f := range pt2faces[p] {
-			if !f.dead {
+		b.processed[pi] = true
+		p := int32(pi)
+		start := int32(-1)
+		for _, f := range b.pt2faces[p] {
+			if !b.faces[f].dead {
 				start = f
 				break
 			}
 		}
-		pt2faces[p] = nil
-		if start == nil {
+		b.recycle(b.pt2faces[p])
+		b.pt2faces[p] = nil
+		if start < 0 {
 			continue // interior
 		}
-		// BFS over adjacent visible faces. visibleList preserves the
-		// deterministic BFS discovery order; iterating the membership map
-		// instead would randomize the horizon (and hence face) order run to
-		// run, breaking the exact reproducibility the fault-injection soak
-		// relies on.
-		visibleSet := map[*face]bool{start: true}
-		visibleList := []*face{start}
+		// BFS over adjacent visible faces, in deterministic discovery
+		// order: the horizon (and hence face) order follows from it, and
+		// the fault-injection soak relies on that reproducibility. A face
+		// found invisible is not stamped and may be tested again from
+		// another visible neighbour.
+		stamp++
+		b.faces[start].stamp = stamp
+		visibleList = append(visibleList[:0], start)
 		for qi := 0; qi < len(visibleList); qi++ {
 			f := visibleList[qi]
 			for e := 0; e < 3; e++ {
-				u, v := f.v[e], f.v[(e+1)%3]
-				g := edgeFace[edge{v, u}]
-				if g == nil || g.dead || visibleSet[g] {
+				g := b.faces[f].nb[e]
+				if g < 0 || b.faces[g].dead || b.faces[g].stamp == stamp {
 					continue
 				}
-				if visible(o, pts, g, p) {
-					visibleSet[g] = true
+				if visible(o, pts, &b.faces[g], p) {
+					b.faces[g].stamp = stamp
 					visibleList = append(visibleList, g)
 				}
 			}
 		}
-		// Horizon: directed edges of visible faces whose across-neighbor
-		// survives; remember that neighbor for conflict inheritance.
-		type hEdge struct {
-			u, v     int
-			dead, ok *face // the dying face on the edge and its survivor
-		}
-		var horizon []hEdge
+		// Horizon: directed edges of visible faces whose across-neighbour
+		// survives; remember that neighbour for conflict inheritance.
+		horizon = horizon[:0]
 		for _, f := range visibleList {
+			fv := b.faces[f].v
 			for e := 0; e < 3; e++ {
-				u, v := f.v[e], f.v[(e+1)%3]
-				g := edgeFace[edge{v, u}]
-				if g == nil || !visibleSet[g] {
-					horizon = append(horizon, hEdge{u: u, v: v, dead: f, ok: g})
+				g := b.faces[f].nb[e]
+				if g < 0 || b.faces[g].stamp != stamp {
+					horizon = append(horizon, hEdge{u: fv[e], v: fv[(e+1)%3], dead: f, ok: g})
 				}
 			}
 		}
-		// Kill visible faces (their conflict lists stay readable for the
-		// inheritance step below, then are released).
-		for _, f := range visibleList {
-			f.dead = true
-			unregister(f)
+		// Kill the visible faces and build the new cone: one face
+		// (u, v, p) per horizon edge, in horizon order, keeping the edge
+		// direction so the across-neighbour relationship with the
+		// survivor holds.
+		base := int32(len(b.faces))
+		if b.manifold && b.simpleHorizon(horizon, base, stamp) {
+			b.stitchCone(visibleList, horizon, p)
+		} else {
+			b.rebuildCone(visibleList, horizon, p)
 		}
-		// New cone: one face per horizon edge, keeping the edge direction
-		// so the across-neighbor relationship with the survivor holds.
 		// Conflicts of the new face come from the union of the conflicts
-		// of the two faces incident on its horizon edge.
-		for _, he := range horizon {
-			nf := &face{v: [3]int{he.u, he.v, p}}
-			register(nf)
-			faces = append(faces, nf)
-			seen := map[int]bool{}
-			inherit := func(src *face) {
-				if src == nil {
-					return
-				}
-				for _, q := range src.conflict {
-					if q == p || processed[q] || seen[q] {
-						continue
-					}
-					seen[q] = true
-					if visible(o, pts, nf, q) {
-						link(q, nf)
-					}
-				}
+		// of the two faces incident on its horizon edge; the dead face's
+		// list stays readable until it is recycled below.
+		for j, he := range horizon {
+			nf := base + int32(j)
+			b.inherit(he.dead, nf, p)
+			if he.ok >= 0 {
+				b.inherit(he.ok, nf, p)
 			}
-			inherit(he.dead)
-			inherit(he.ok)
 		}
 		for _, f := range visibleList {
-			f.conflict = nil
+			b.recycle(b.faces[f].conflict)
+			b.faces[f].conflict = nil
 		}
 	}
 
-	h := Hull{Pts: pts}
-	for _, f := range faces {
-		if !f.dead {
-			h.Faces = append(h.Faces, Tri{A: f.v[0], B: f.v[1], C: f.v[2]})
+	live := 0
+	for f := range b.faces {
+		if !b.faces[f].dead {
+			live++
+		}
+	}
+	h := Hull{Pts: pts, Faces: make([]Tri, 0, live)}
+	for f := range b.faces {
+		if fc := &b.faces[f]; !fc.dead {
+			h.Faces = append(h.Faces, Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])})
 		}
 	}
 	return h, nil
+}
+
+// hEdge is a horizon edge (u, v) of the dying face dead, with ok the
+// surviving face across it (−1 when none).
+type hEdge struct {
+	u, v     int32
+	dead, ok int32
+}
+
+// builder is the state of one incremental build over the face arena.
+type builder struct {
+	pts       []geom.Point3
+	o         *geom.NoisyOracle
+	faces     []face
+	processed []bool
+	pt2faces  [][]int32 // per point: the faces it sees, in link order
+	seen      []int32   // per point: the last cone face that considered it
+	// coneAt[u] is the cone face whose horizon edge starts at u, valid
+	// while coneStamp[u] equals the current insertion step.
+	coneAt, coneStamp []int32
+	// manifold reports that the live faces form a closed 2-manifold: every
+	// directed edge belongs to exactly one live face and its reverse to
+	// another. Exact predicates keep it true for the whole build; only a
+	// wrong (noisy) orientation answer can break it.
+	manifold bool
+	free     [][]int32 // recycled conflict-list backing arrays
+	// inc[u] lists the faces with vertex u in index order (dead ones are
+	// pruned as met). It is built on the first rebuildCone and kept from
+	// then on, so a non-manifold step costs O(degree) per edge.
+	inc [][]int32
+	// touched collects the live faces whose edge state setKey or clearKey
+	// changed; defects holds the live faces that broke the manifold
+	// condition at the last rebuildCone. Only those can break it now.
+	touched, defects []int32
+}
+
+// link records that unprocessed point p sees face f.
+func (b *builder) link(p, f int32) {
+	fc := &b.faces[f]
+	if fc.conflict == nil {
+		fc.conflict = b.take()
+	}
+	fc.conflict = append(fc.conflict, p)
+	if b.pt2faces[p] == nil {
+		b.pt2faces[p] = b.take()
+	}
+	b.pt2faces[p] = append(b.pt2faces[p], f)
+}
+
+func (b *builder) take() []int32 {
+	if k := len(b.free); k > 0 {
+		s := b.free[k-1]
+		b.free = b.free[:k-1]
+		return s
+	}
+	return nil
+}
+
+func (b *builder) recycle(s []int32) {
+	if cap(s) > 0 {
+		b.free = append(b.free, s[:0])
+	}
+}
+
+// inherit tests the conflicts of src against the new cone face nf, each
+// point at most once per cone face.
+func (b *builder) inherit(src, nf, p int32) {
+	for _, q := range b.faces[src].conflict {
+		if q == p || b.processed[q] || b.seen[q] == nf {
+			continue
+		}
+		b.seen[q] = nf
+		if visible(b.o, b.pts, &b.faces[nf], q) {
+			b.link(q, nf)
+		}
+	}
+}
+
+// simpleHorizon records, per horizon start vertex, the cone face that
+// will start there, and reports whether the horizon is a union of
+// vertex-disjoint cycles: every start vertex distinct, every end vertex a
+// start vertex, every edge with a survivor across. On a closed manifold
+// that is exactly when stitchCone reproduces the edge-ownership semantics
+// of the general path.
+func (b *builder) simpleHorizon(horizon []hEdge, base, stamp int32) bool {
+	for j, he := range horizon {
+		if b.coneStamp[he.u] == stamp {
+			return false
+		}
+		b.coneStamp[he.u] = stamp
+		b.coneAt[he.u] = base + int32(j)
+	}
+	for _, he := range horizon {
+		if he.ok < 0 || b.coneStamp[he.v] != stamp {
+			return false
+		}
+	}
+	return true
+}
+
+// stitchCone kills the visible faces and appends the cone over a simple
+// horizon, linking neighbours directly: cone face (u, v, p) faces the
+// survivor across (u, v), the cone face starting at v across (v, p), and
+// the cone face ending at u across (p, u).
+func (b *builder) stitchCone(visibleList []int32, horizon []hEdge, p int32) {
+	for _, f := range visibleList {
+		b.faces[f].dead = true
+	}
+	base := int32(len(b.faces))
+	for j, he := range horizon {
+		nf := base + int32(j)
+		b.faces = append(b.faces, face{
+			v:   [3]int32{he.u, he.v, p},
+			nb:  [3]int32{he.ok, b.coneAt[he.v], -1},
+			own: [3]bool{true, true, true},
+		})
+		ok := &b.faces[he.ok]
+		for e := 0; e < 3; e++ {
+			if ok.v[e] == he.v && ok.v[(e+1)%3] == he.u {
+				ok.nb[e] = nf
+				break
+			}
+		}
+	}
+	for j := range horizon {
+		nf := base + int32(j)
+		b.faces[b.faces[nf].nb[1]].nb[2] = nf
+		if b.inc != nil {
+			b.index(nf)
+		}
+	}
+}
+
+// rebuildCone is stitchCone for a non-manifold surface or horizon, which
+// only a wrong noisy orientation answer produces. It replays edge
+// ownership exactly — a face registering an edge takes it over from any
+// previous owner, and killing a face releases every edge it names, even
+// one a later face took over — so the build stays a deterministic
+// function of its inputs. Each edge update scans the faces around one of
+// its endpoints.
+func (b *builder) rebuildCone(visibleList []int32, horizon []hEdge, p int32) {
+	if b.inc == nil {
+		b.inc = make([][]int32, len(b.pts))
+		for f := range b.faces {
+			if !b.faces[f].dead {
+				b.index(int32(f))
+			}
+		}
+	}
+	for _, f := range visibleList {
+		b.faces[f].dead = true
+		for e := 0; e < 3; e++ {
+			b.clearKey(b.around(b.faces[f].v[e]), f, e)
+		}
+	}
+	for _, he := range horizon {
+		b.faces = append(b.faces, face{v: [3]int32{he.u, he.v, p}, nb: [3]int32{-1, -1, -1}})
+		nf := int32(len(b.faces) - 1)
+		b.index(nf)
+		b.touched = append(b.touched, nf)
+		for e := 0; e < 3; e++ {
+			b.setKey(b.around(b.faces[nf].v[e]), nf, e)
+		}
+	}
+	// A face outside touched and defects kept its edge state and was
+	// sound, so the surface is a manifold exactly when none of these is
+	// broken now.
+	cand := append(b.defects, b.touched...)
+	slices.Sort(cand)
+	b.defects = cand[:0]
+	for _, f := range slices.Compact(cand) {
+		fc := &b.faces[f]
+		if !fc.dead && (!fc.own[0] || !fc.own[1] || !fc.own[2] || fc.nb[0] < 0 || fc.nb[1] < 0 || fc.nb[2] < 0) {
+			b.defects = append(b.defects, f)
+		}
+	}
+	b.touched = b.touched[:0]
+	b.manifold = len(b.defects) == 0
+}
+
+// index adds face f to the incidence lists of its vertices.
+func (b *builder) index(f int32) {
+	for _, u := range b.faces[f].v {
+		b.inc[u] = append(b.inc[u], f)
+	}
+}
+
+// around returns the live faces with vertex u in index order, pruning
+// the dead ones from its list. Both directions of an edge starting at u
+// are on these faces.
+func (b *builder) around(u int32) []int32 {
+	live := b.inc[u][:0]
+	for _, g := range b.inc[u] {
+		if !b.faces[g].dead {
+			live = append(live, g)
+		}
+	}
+	b.inc[u] = live
+	return live
+}
+
+// clearKey releases edge e of the dead face f: the live owner of that
+// directed edge among cands, if any, loses it, and every live face across
+// it loses its neighbour.
+func (b *builder) clearKey(cands []int32, f int32, e int) {
+	u, v := b.faces[f].v[e], b.faces[f].v[(e+1)%3]
+	for _, g := range cands {
+		gc := &b.faces[g]
+		if gc.dead {
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			a, c := gc.v[k], gc.v[(k+1)%3]
+			if a == u && c == v {
+				gc.own[k] = false
+				b.touched = append(b.touched, g)
+			} else if a == v && c == u {
+				gc.nb[k] = -1
+				b.touched = append(b.touched, g)
+			}
+		}
+	}
+}
+
+// setKey registers edge e of the live face f as the owner of its
+// directed edge, taking it over from any previous owner among cands, and
+// links f with the live faces across it.
+func (b *builder) setKey(cands []int32, f int32, e int) {
+	u, v := b.faces[f].v[e], b.faces[f].v[(e+1)%3]
+	across := int32(-1)
+	for _, g := range cands {
+		gc := &b.faces[g]
+		if gc.dead {
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			a, c := gc.v[k], gc.v[(k+1)%3]
+			if a == u && c == v {
+				gc.own[k] = false
+				b.touched = append(b.touched, g)
+			} else if a == v && c == u {
+				gc.nb[k] = f
+				b.touched = append(b.touched, g)
+				if gc.own[k] {
+					across = g
+				}
+			}
+		}
+	}
+	b.faces[f].own[e] = true
+	b.faces[f].nb[e] = across
 }
 
 func collinear3(a, b, c geom.Point3) bool {
@@ -283,16 +545,8 @@ func (h Hull) Vertices() []int {
 			}
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Verify checks the hull invariants exactly: every input point lies on or

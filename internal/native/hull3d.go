@@ -1,7 +1,6 @@
 package native
 
 import (
-	"inplacehull/internal/fork"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull3d"
 	"inplacehull/internal/hullerr"
@@ -27,12 +26,12 @@ func Hull3D(seed uint64, pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, e
 // Hull3DFrom computes the Result3D cap structure for full while running
 // the incremental hull only over culled — the serve layer's post-culling
 // entry point. culled must satisfy conv(culled) == conv(full) (the
-// internal/cull invariant); the cap assignment (capsFromHull), the oracle
-// gate (CheckCaps3D) and the degenerate fallback all run over the FULL
-// point set, so FacetOf keeps input length and every point's cap is a
-// genuine upper facet above it. The GEOMETRIC hull is identical to a
-// full-input run; the facet decomposition need not be bit-identical —
-// insertion order differs, so coplanar upper faces may triangulate
+// internal/cull invariant); the cap assignment (unsorted.CapsFromHull),
+// the oracle gate (CheckCaps3D) and the degenerate fallback all run over
+// the FULL point set, so FacetOf keeps input length and every point's
+// cap is a genuine upper facet above it. The GEOMETRIC hull is identical
+// to a full-input run; the facet decomposition need not be bit-identical
+// — insertion order differs, so coplanar upper faces may triangulate
 // differently and tie-broken FaceAbove picks may move, the same
 // seed-dependence the 3-d parity suite already tolerates. Correctness is
 // what CheckCaps3D proves, over the full input. obs may be nil.
@@ -50,7 +49,7 @@ func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorte
 	endCaps := o.span("native-caps")
 	defer endCaps()
 	if h, err := hull3d.Incremental(rng.New(seed), culled); err == nil {
-		res = capsFromHull(full, h)
+		res = unsorted.CapsFromHull(full, h)
 		if err := unsorted.CheckCaps3D(full, res); err == nil {
 			o.charge(n)
 			return res, nil
@@ -59,7 +58,7 @@ func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorte
 	}
 	// Degenerate rung: every point receives the horizontal cap through the
 	// global top point (no point lies above z = max z).
-	res.Facets = []lp.Solution3D{topCap(full)}
+	res.Facets = []lp.Solution3D{unsorted.TopCap(full)}
 	for p := range res.FacetOf {
 		res.FacetOf[p] = 0
 	}
@@ -69,54 +68,4 @@ func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorte
 	}
 	o.charge(n)
 	return res, nil
-}
-
-// capsFromHull lifts a full 3-d hull into the Result3D cap contract: the
-// upper faces a point actually uses become its cap; points whose
-// xy-location falls on a shadow-boundary fp-sliver (FaceAbove −1) get the
-// degenerate global-top cap. FaceAbove lookups run in parallel over the
-// points; slot assignment stays a sequential sweep so the facet order is
-// deterministic (first-use order, independent of scheduling).
-func capsFromHull(pts []geom.Point3, h hull3d.Hull) unsorted.Result3D {
-	res := unsorted.Result3D{FacetOf: make([]int, len(pts))}
-	upper := h.UpperFaces()
-	above := make([]int, len(pts))
-	fork.For(len(pts), locateGrain, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			above[p] = hull3d.FaceAbove(h.Pts, upper, pts[p].X, pts[p].Y)
-		}
-	})
-	facetSlot := make(map[int]int) // upper-face index → slot in res.Facets
-	degenerateSlot := -1
-	for p := range pts {
-		fi := above[p]
-		if fi < 0 {
-			if degenerateSlot < 0 {
-				res.Facets = append(res.Facets, topCap(pts))
-				degenerateSlot = len(res.Facets) - 1
-			}
-			res.FacetOf[p] = degenerateSlot
-			continue
-		}
-		slot, ok := facetSlot[fi]
-		if !ok {
-			f := upper[fi]
-			res.Facets = append(res.Facets, lp.Solution3D{A: h.Pts[f.A], B: h.Pts[f.B], C: h.Pts[f.C]})
-			slot = len(res.Facets) - 1
-			facetSlot[fi] = slot
-		}
-		res.FacetOf[p] = slot
-	}
-	return res
-}
-
-// topCap is the degenerate cap at the point of maximum z.
-func topCap(pts []geom.Point3) lp.Solution3D {
-	top := pts[0]
-	for _, p := range pts {
-		if p.Z > top.Z {
-			top = p
-		}
-	}
-	return lp.Solution3D{A: top, B: top, C: top}
 }

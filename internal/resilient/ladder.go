@@ -120,7 +120,7 @@ func ladder3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3) (unsorted.Res
 		return res, TierSequential, nil
 	}
 	if h, err := hull3d.Incremental(rnd, pts); err == nil {
-		res = capsFromHull(pts, h)
+		res = unsorted.CapsFromHull(pts, h)
 		if err := unsorted.CheckCaps3D(pts, res); err == nil {
 			chargeSequential(m, n)
 			return res, TierSequential, nil
@@ -131,7 +131,7 @@ func ladder3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3) (unsorted.Res
 	// global top point. Valid by the degenerate-cap semantics (no point
 	// lies above the plane z = max z), and the only representation
 	// available for sub-3-dimensional geometry.
-	res.Facets = []lp.Solution3D{topCap(pts)}
+	res.Facets = []lp.Solution3D{unsorted.TopCap(pts)}
 	for p := range res.FacetOf {
 		res.FacetOf[p] = 0
 	}
@@ -141,47 +141,4 @@ func ladder3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3) (unsorted.Res
 	}
 	chargeSequential(m, n)
 	return res, TierDegenerate, nil
-}
-
-// capsFromHull lifts a full 3-d hull into the Result3D cap contract: the
-// upper faces a point actually uses become its cap; points whose
-// xy-location falls on a shadow-boundary fp-sliver (FaceAbove −1) get the
-// degenerate global-top cap, exactly the representation the parallel
-// algorithm uses for flat columns.
-func capsFromHull(pts []geom.Point3, h hull3d.Hull) unsorted.Result3D {
-	res := unsorted.Result3D{FacetOf: make([]int, len(pts))}
-	upper := h.UpperFaces()
-	facetSlot := make(map[int]int) // upper-face index → slot in res.Facets
-	degenerateSlot := -1
-	for p := range pts {
-		fi := hull3d.FaceAbove(h.Pts, upper, pts[p].X, pts[p].Y)
-		if fi < 0 {
-			if degenerateSlot < 0 {
-				res.Facets = append(res.Facets, topCap(pts))
-				degenerateSlot = len(res.Facets) - 1
-			}
-			res.FacetOf[p] = degenerateSlot
-			continue
-		}
-		slot, ok := facetSlot[fi]
-		if !ok {
-			f := upper[fi]
-			res.Facets = append(res.Facets, lp.Solution3D{A: h.Pts[f.A], B: h.Pts[f.B], C: h.Pts[f.C]})
-			slot = len(res.Facets) - 1
-			facetSlot[fi] = slot
-		}
-		res.FacetOf[p] = slot
-	}
-	return res
-}
-
-// topCap is the degenerate cap at the point of maximum z.
-func topCap(pts []geom.Point3) lp.Solution3D {
-	top := pts[0]
-	for _, p := range pts {
-		if p.Z > top.Z {
-			top = p
-		}
-	}
-	return lp.Solution3D{A: top, B: top, C: top}
 }

@@ -162,7 +162,7 @@ func noisy3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, o *geom.NoisyO
 	if err != nil {
 		return unsorted.Result3D{}, hullerr.New(hullerr.Internal, op, "voted incremental baseline: %v", err)
 	}
-	res := capsFromHull(pts, h)
+	res := unsorted.CapsFromHull(pts, h)
 	if err := unsorted.CheckCaps3D(pts, res); err != nil {
 		return unsorted.Result3D{}, hullerr.New(hullerr.Internal, op,
 			"voted baseline failed the exact oracle for %d points: %v", len(pts), err)

@@ -117,9 +117,10 @@ type Result struct {
 	Edges  []geom.Edge
 	EdgeOf []int
 	// Facets, FacetOf: the 3-d cap answer (Query3D). Facets is the facet
-	// count; FacetOf maps each point to its cap.
+	// count; FacetOf maps each point to its cap. FacetOf is int32 because
+	// cached answers hold it for their lifetime (see facetOf32).
 	Facets  int
-	FacetOf []int
+	FacetOf []int32
 	// Report is the supervisor's account (attempts, tier).
 	Report resilient.Report
 	// Cached reports whether the answer came from the result cache.
@@ -409,7 +410,7 @@ func (s *Server) streamPatched3(r *request, snap stream.Snapshot3) (Result, erro
 		return Result{}, hullerr.FromContext(r.op, err)
 	}
 	res := Result{
-		N: len(snap.Points), Facets: len(snap.Res.Facets), FacetOf: snap.Res.FacetOf,
+		N: len(snap.Points), Facets: len(snap.Res.Facets), FacetOf: snap.FacetOf32,
 		Report: resilient.Report{Attempts: 1, Tier: resilient.TierRandomized,
 			ExecBackend: resilient.BackendNative},
 	}
@@ -574,7 +575,7 @@ func (s *Server) execute(m *pram.Machine, r *request) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: out.FacetOf, Report: rep}, nil
+		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
 	}
 	switch r.q.Algo {
 	case AlgoPresorted:
@@ -598,6 +599,18 @@ func (s *Server) execute(m *pram.Machine, r *request) (Result, error) {
 	}
 }
 
+// facetOf32 narrows a backend's cap assignment for a Result. Answers live
+// in the result cache, and at half the width of []int a full cache of 3-d
+// answers keeps the server's resident set near that of 2-d serving.
+// A facet index is below the input size, and no input holds 2^31 points.
+func facetOf32(facetOf []int) []int32 {
+	out := make([]int32, len(facetOf))
+	for i, f := range facetOf {
+		out[i] = int32(f)
+	}
+	return out
+}
+
 // executeNative answers one request on the direct engine. The answers
 // are canonical — bit-identical chains and edges to the counted path
 // (the root backend parity suite gates this) — so a cache warmed by one
@@ -613,13 +626,13 @@ func (s *Server) executeNative(r *request, pol resilient.Policy) (Result, error)
 			if err != nil {
 				return Result{}, err
 			}
-			return s.liftCulled(r, Result{N: len(r.full3), Facets: len(out.Facets), FacetOf: out.FacetOf, Report: rep}), nil
+			return s.liftCulled(r, Result{N: len(r.full3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}), nil
 		}
 		out, rep, err := eng.Hull3D(r.ctx, r.pts3, unsorted.Options3D{}, pol)
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: out.FacetOf, Report: rep}, nil
+		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
 	}
 	var (
 		out unsorted.Result2D

@@ -126,6 +126,9 @@ func TestStreamQuery3DPatched(t *testing.T) {
 	if res.N != len(pts) || len(res.FacetOf) != len(pts) || res.Facets == 0 {
 		t.Fatalf("3-d patched answer shape: n=%d facets=%d facetof=%d", res.N, res.Facets, len(res.FacetOf))
 	}
+	if snap, err := sd.Snapshot3(); err != nil || &res.FacetOf[0] != &snap.FacetOf32[0] {
+		t.Fatalf("3-d patched answer copies the committed cap map instead of aliasing it (%v)", err)
+	}
 	if _, err := sd.Append3(context.Background(), []geom.Point3{{X: 5, Y: 5, Z: 5}}); err != nil {
 		t.Fatal(err)
 	}

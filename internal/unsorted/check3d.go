@@ -3,9 +3,54 @@ package unsorted
 import (
 	"fmt"
 
+	"inplacehull/internal/fork"
 	"inplacehull/internal/geom"
+	"inplacehull/internal/hull3d"
 	"inplacehull/internal/lp"
 )
+
+// locateGrain is the number of points one fork leaf of CapsFromHull
+// locates.
+const locateGrain = 4096
+
+// CapsFromHull lifts a full 3-d hull into the Result3D cap contract over
+// pts (h may be the hull of a subset with the same convex hull, or of a
+// sample): each point's cap is the lowest-index upper face whose
+// xy-projection contains it, and a point no upper face covers — a
+// shadow-boundary fp-sliver, or ground the hull does not span — gets the
+// degenerate global-top cap (TopCap), exactly the representation the
+// parallel algorithm uses for flat columns. Facets appear in first-use
+// order over pts, so the result is independent of how the parallel
+// location is scheduled.
+func CapsFromHull(pts []geom.Point3, h hull3d.Hull) Result3D {
+	res := Result3D{FacetOf: make([]int, len(pts))}
+	upper := h.UpperFaces()
+	loc := hull3d.NewLocator(h.Pts, upper)
+	fork.For(len(pts), locateGrain, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			res.FacetOf[p] = loc.FaceAbove(pts[p].X, pts[p].Y)
+		}
+	})
+	slot := make([]int32, len(upper)) // upper-face index → 1 + its slot in res.Facets
+	degenerateSlot := -1
+	for p, fi := range res.FacetOf {
+		if fi < 0 {
+			if degenerateSlot < 0 {
+				res.Facets = append(res.Facets, TopCap(pts))
+				degenerateSlot = len(res.Facets) - 1
+			}
+			res.FacetOf[p] = degenerateSlot
+			continue
+		}
+		if slot[fi] == 0 {
+			f := upper[fi]
+			res.Facets = append(res.Facets, lp.Solution3D{A: h.Pts[f.A], B: h.Pts[f.B], C: h.Pts[f.C]})
+			slot[fi] = int32(len(res.Facets))
+		}
+		res.FacetOf[p] = int(slot[fi]) - 1
+	}
+	return res
+}
 
 // CheckCaps3D verifies a Result3D against the §4.3 output contract: every
 // point has a cap facet whose plane it does not exceed and (for

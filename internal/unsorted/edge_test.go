@@ -32,7 +32,7 @@ func TestBruteCapEdgeCases(t *testing.T) {
 
 func TestTinyOf(t *testing.T) {
 	pts := []geom.Point3{{X: 0, Y: 0, Z: 1}, {X: 1, Y: 1, Z: 5}, {X: 2, Y: 2, Z: 3}}
-	top := tinyOf(pts)
+	top := TopCap(pts)
 	if top.A != pts[1] || !top.Degenerate() {
 		t.Fatalf("tinyOf = %+v", top)
 	}

@@ -110,6 +110,7 @@ func Hull3DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, opt Options
 	probNum := make([]int64, n)
 	capOf := make([]lp.Solution3D, n)
 	hasCap := make([]bool, n)
+	resolved := make([]bool, n) // tiny-problem points capped in the current step
 	m.StepAll(n, func(p int) { probNum[p] = 1 })
 
 	problems := []problem{{num: 1, live: n}}
@@ -324,6 +325,10 @@ func Hull3DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, opt Options
 		}
 		sortProblems(problems)
 		// Tiny problems (≤3 live points): their top structure is the cap.
+		// tinyCap reads the peers' probNum, so within the step each
+		// processor only marks its own point resolved; the probNum entries
+		// are cleared after the step, keeping every read of the step
+		// before any write.
 		m.Step(n, func(p int) bool {
 			if probNum[p] == 0 {
 				return false
@@ -333,10 +338,16 @@ func Hull3DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, opt Options
 				// degenerate-or-triangle cap of the set.
 				capOf[p] = tinyCap(pts, probNum, p)
 				hasCap[p] = true
-				probNum[p] = 0
+				resolved[p] = true
 			}
 			return true
 		})
+		for p, r := range resolved {
+			if r {
+				probNum[p] = 0
+				resolved[p] = false
+			}
+		}
 		endRenum()
 	}
 
@@ -394,23 +405,25 @@ func bruteFacet(rnd *rng.Stream, pts []geom.Point3, probNum []int64, num int64, 
 		}
 	}
 	if len(local) < 4 {
-		return tinyOf(local), nil
+		return TopCap(local), nil
 	}
 	h, err := hull3d.Incremental(rnd, local)
 	if err != nil {
 		// Degenerate (coplanar) subproblem: top structure caps everything.
-		return tinyOf(local), nil
+		return TopCap(local), nil
 	}
 	up := h.UpperFaces()
 	i := hull3d.FaceAbove(local, up, splitter.X, splitter.Y)
 	if i < 0 {
-		return tinyOf(local), nil
+		return TopCap(local), nil
 	}
 	f := up[i]
 	return lp.Solution3D{A: local[f.A], B: local[f.B], C: local[f.C]}, nil
 }
 
-func tinyOf(mem []geom.Point3) lp.Solution3D {
+// TopCap is the degenerate cap through the point of maximum z (the first
+// among ties): no point of mem lies above it.
+func TopCap(mem []geom.Point3) lp.Solution3D {
 	top := mem[0]
 	for _, p := range mem {
 		if p.Z > top.Z {
@@ -441,7 +454,7 @@ func fallback3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, probNum []i
 			s := float64(len(local))
 			sub.Charge(int64(math.Ceil(math.Log2(s+2))), int64(math.Ceil(s*math.Log2(s+2))))
 			if len(local) < 4 {
-				top := tinyOf(lpts)
+				top := TopCap(lpts)
 				for _, p := range local {
 					capOf[p], hasCap[p] = top, true
 					probNum[p] = 0
@@ -450,7 +463,7 @@ func fallback3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, probNum []i
 			}
 			h, err := hull3d.Incremental(rnd.Split(uint64(pr.num)), lpts)
 			if err != nil {
-				top := tinyOf(lpts)
+				top := TopCap(lpts)
 				for _, p := range local {
 					capOf[p], hasCap[p] = top, true
 					probNum[p] = 0
@@ -461,7 +474,7 @@ func fallback3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, probNum []i
 			for q, p := range local {
 				fi := hull3d.FaceAbove(lpts, up, lpts[q].X, lpts[q].Y)
 				if fi < 0 {
-					capOf[p] = tinyOf(lpts)
+					capOf[p] = TopCap(lpts)
 				} else {
 					f := up[fi]
 					capOf[p] = lp.Solution3D{A: lpts[f.A], B: lpts[f.B], C: lpts[f.C]}
