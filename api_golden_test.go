@@ -19,9 +19,9 @@ var updateAPIGolden = flag.Bool("update", false, "rewrite testdata/api_golden.tx
 
 // TestExportedAPIGolden pins the package's exported surface against a
 // committed golden file. The run redesign deliberately shrank the public
-// API to the Run entry points plus deprecated wrappers; this test makes
-// any future drift — an accidental export, a removed wrapper, a changed
-// signature — a reviewed diff instead of a silent change. Regenerate
+// API to the Run entry points; this test makes any future drift — an
+// accidental export, a removed entry point, a changed signature — a
+// reviewed diff instead of a silent change. Regenerate
 // with `go test -run ExportedAPIGolden -update .`.
 func TestExportedAPIGolden(t *testing.T) {
 	got := strings.Join(exportedAPI(t), "\n") + "\n"

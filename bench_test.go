@@ -10,6 +10,7 @@
 package inplacehull
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,7 +47,7 @@ func BenchmarkE1PresortedConstTime(b *testing.B) {
 			var steps, work int64
 			for i := 0; i < b.N; i++ {
 				m := NewMachine()
-				if _, err := PresortedHull(m, NewRand(uint64(i)), pts); err != nil {
+				if _, _, err := Run2D(context.Background(), m, NewRand(uint64(i)), pts, RunConfig{Algorithm: AlgoPresorted, Direct: true}); err != nil {
 					b.Fatal(err)
 				}
 				steps, work = m.Time(), m.Work()
@@ -66,7 +67,7 @@ func BenchmarkE2PresortedLogStar(b *testing.B) {
 			var steps, work int64
 			for i := 0; i < b.N; i++ {
 				m := NewMachine()
-				if _, err := LogStarHull(m, NewRand(uint64(i)), pts); err != nil {
+				if _, _, err := Run2D(context.Background(), m, NewRand(uint64(i)), pts, RunConfig{Algorithm: AlgoLogStar, Direct: true}); err != nil {
 					b.Fatal(err)
 				}
 				steps, work = m.Time(), m.Work()
@@ -91,7 +92,7 @@ func BenchmarkE3Unsorted2D(b *testing.B) {
 			var h int
 			for i := 0; i < b.N; i++ {
 				m := NewMachine()
-				res, err := Hull2D(m, NewRand(uint64(i)), pts)
+				res, _, err := Run2D(context.Background(), m, NewRand(uint64(i)), pts, RunConfig{Direct: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +118,7 @@ func BenchmarkE4Unsorted3D(b *testing.B) {
 			var h int
 			for i := 0; i < b.N; i++ {
 				m := NewMachine()
-				res, err := Hull3D(m, NewRand(uint64(i)), pts)
+				res, _, err := Run3D(context.Background(), m, NewRand(uint64(i)), pts, RunConfig{Direct: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,7 +187,7 @@ func BenchmarkE11Baselines(b *testing.B) {
 		var work int64
 		for i := 0; i < b.N; i++ {
 			m := NewMachine()
-			if _, err := Hull2D(m, NewRand(uint64(i)), pts); err != nil {
+			if _, _, err := Run2D(context.Background(), m, NewRand(uint64(i)), pts, RunConfig{Direct: true}); err != nil {
 				b.Fatal(err)
 			}
 			work = m.Work()
@@ -280,7 +281,7 @@ func BenchmarkMachineWorkers(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
 				m := NewMachine(WithWorkers(w))
-				if _, err := Hull2D(m, NewRand(7), pts); err != nil {
+				if _, _, err := Run2D(context.Background(), m, NewRand(7), pts, RunConfig{Direct: true}); err != nil {
 					b.Fatal(err)
 				}
 				steps = m.Time()

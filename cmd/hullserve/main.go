@@ -70,14 +70,23 @@ import (
 	"inplacehull/internal/workload"
 )
 
+// Slow-client bounds. A client gets readHeaderTimeout to send its request
+// headers and may hold an idle keep-alive connection for idleTimeout.
+// There is deliberately no read or write timeout: wait_ms long-polls and
+// SSE watch streams legitimately hold a response open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		fleet    = flag.Int("fleet", 0, "fleet size (pooled machines); 0 = min(GOMAXPROCS, 4)")
 		workers  = flag.Int("workers", 0, "worker-pool width per machine; 0 = GOMAXPROCS")
 		queue    = flag.Int("queue", 256, "admission queue bound; full queue sheds with 503 + Retry-After")
-		batch    = flag.Int("batch", 32, "max queries coalesced per machine dispatch; 1 disables batching")
-		window   = flag.Duration("window", 200*time.Microsecond, "how long a lone small query holds its batch open for stragglers")
+		batch    = flag.Int("batch", 32, "max counted queries coalesced per machine dispatch; 1 disables batching (native queries always dispatch solo)")
+		window   = flag.Duration("window", 200*time.Microsecond, "how long a lone small counted query holds its batch open for stragglers (native queries never wait)")
 		cache    = flag.Int("cache", 1024, "result-cache entries; 0 disables caching")
 		datasets = flag.String("datasets", "disk:4096,circle:4096,ball:4096", "comma-separated kind:n dataset specs to preload (empty for none)")
 		approx   = flag.Float64("approx-eps", 0, "server-default approximate-tier tolerance (relative to bbox diagonal); 0 keeps the tier off unless a query opts in via approx_eps")
@@ -145,7 +154,12 @@ func main() {
 		Streams:     store,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 

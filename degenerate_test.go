@@ -1,6 +1,7 @@
 package inplacehull
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -57,14 +58,15 @@ func TestDegenerateInputs2D(t *testing.T) {
 	}
 	algos := []algo{
 		{name: "Hull2D", run: func(pts []Point) (unsorted.Result2D, error) {
-			return Hull2D(NewMachine(), NewRand(7), pts)
+			r, _, err := Run2D(context.Background(), NewMachine(), NewRand(7), pts, RunConfig{Direct: true})
+			return *r.Unsorted, err
 		}},
 		{name: "PresortedHull", presorted: true, run: func(pts []Point) (unsorted.Result2D, error) {
-			r, err := PresortedHull(NewMachine(), NewRand(7), pts)
+			r, _, err := Run2D(context.Background(), NewMachine(), NewRand(7), pts, RunConfig{Algorithm: AlgoPresorted, Direct: true})
 			return unsorted.Result2D{Edges: r.Edges, Chain: r.Chain, EdgeOf: r.EdgeOf}, err
 		}},
 		{name: "LogStarHull", presorted: true, run: func(pts []Point) (unsorted.Result2D, error) {
-			r, err := LogStarHull(NewMachine(), NewRand(7), pts)
+			r, _, err := Run2D(context.Background(), NewMachine(), NewRand(7), pts, RunConfig{Algorithm: AlgoLogStar, Direct: true})
 			return unsorted.Result2D{Edges: r.Edges, Chain: r.Chain, EdgeOf: r.EdgeOf}, err
 		}},
 	}
@@ -135,7 +137,7 @@ func TestDegenerateInputs3D(t *testing.T) {
 					t.Fatalf("panicked on degenerate input: %v", r)
 				}
 			}()
-			res, err := Hull3D(NewMachine(), NewRand(7), tc.pts)
+			res, _, err := Run3D(context.Background(), NewMachine(), NewRand(7), tc.pts, RunConfig{Direct: true})
 			if tc.sentinel != nil {
 				if !errors.Is(err, tc.sentinel) {
 					t.Fatalf("want %v, got %v", tc.sentinel, err)

@@ -82,7 +82,7 @@ func FuzzHull2D(f *testing.F) {
 	corpus2D(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := decodePoints(data)
-		res, rep, err := Hull2DCtx(context.Background(), NewMachine(), NewRand(1), pts, Policy{})
+		r, rep, err := Run2D(context.Background(), NewMachine(), NewRand(1), pts, RunConfig{})
 		if err != nil {
 			if !IsTyped(err) {
 				t.Fatalf("untyped error escaped the supervisor: %v", err)
@@ -92,7 +92,7 @@ func FuzzHull2D(f *testing.F) {
 		if rep.Attempts < 1 {
 			t.Fatalf("success with %d attempts", rep.Attempts)
 		}
-		if verr := unsorted.CheckAgainstReference(pts, res); verr != nil {
+		if verr := unsorted.CheckAgainstReference(pts, *r.Unsorted); verr != nil {
 			t.Fatalf("oracle rejected supervised hull of %d points: %v", len(pts), verr)
 		}
 	})
@@ -106,7 +106,7 @@ func FuzzPresortedHull(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := decodePoints(data)
 
-		res, _, err := PresortedHullCtx(context.Background(), NewMachine(), NewRand(1), pts, Policy{})
+		res, _, err := Run2D(context.Background(), NewMachine(), NewRand(1), pts, RunConfig{Algorithm: AlgoPresorted})
 		if err != nil {
 			if !IsTyped(err) {
 				t.Fatalf("untyped error escaped the supervisor: %v", err)
@@ -129,7 +129,7 @@ func FuzzPresortedHull(f *testing.F) {
 		if hasNonFinite(sorted) {
 			return
 		}
-		res, _, err = PresortedHullCtx(context.Background(), NewMachine(), NewRand(1), sorted, Policy{})
+		res, _, err = Run2D(context.Background(), NewMachine(), NewRand(1), sorted, RunConfig{Algorithm: AlgoPresorted})
 		if err != nil {
 			t.Fatalf("sorted projection of %d points failed: %v", len(sorted), err)
 		}

@@ -8,12 +8,15 @@
 //   - NewMachine creates the simulated CRCW PRAM every parallel algorithm
 //     runs on; its counters report parallel time (steps), work (live
 //     processor activations), peak processors and work space.
-//   - PresortedHull (§2.2, O(1) steps, O(n log n) processors) and
-//     LogStarHull (§2.5, O(log* n) steps, O(n) processors) take points
-//     sorted by strictly increasing x.
-//   - Hull2D (§4.1, O(log n) steps, O(n log h) work) and Hull3D (§4.3,
-//     O(log² n) steps, O(min{n log² h, n log n}) work) take unsorted
+//   - Run2D runs one of the 2-d algorithms, chosen by
+//     RunConfig.Algorithm. AlgoPresorted (§2.2, O(1) steps, O(n log n)
+//     processors), AlgoLogStar (§2.5, O(log* n) steps, O(n) processors)
+//     and AlgoOptimal (§2.6) take points sorted by strictly increasing x;
+//     AlgoHull2D (§4.1, O(log n) steps, O(n log h) work) takes unsorted
 //     points.
+//   - Run3D runs the §4.3 algorithm (O(log² n) steps,
+//     O(min{n log² h, n log n}) work) on unsorted points.
+//   - RunAuto2D/RunAuto3D need no machine and run the native backend.
 //   - The sequential baselines (UpperHull, KirkpatrickSeidel, ChanUpper,
 //     QuickHullUpper, Jarvis, Graham, Incremental3D, GiftWrap3D) provide
 //     reference results and comparison curves.
@@ -22,7 +25,7 @@
 //
 //	m := inplacehull.NewMachine()
 //	rnd := inplacehull.NewRand(42)
-//	res, err := inplacehull.Hull2D(m, rnd, points)
+//	res, _, err := inplacehull.Run2D(ctx, m, rnd, points, inplacehull.RunConfig{Direct: true})
 //	// res.Chain is the upper hull; res.EdgeOf[i] is the hull edge above
 //	// point i; m.Time() and m.Work() are the measured PRAM costs.
 //
@@ -31,8 +34,6 @@
 package inplacehull
 
 import (
-	"context"
-
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
 	"inplacehull/internal/hull3d"
@@ -103,10 +104,10 @@ const (
 	// ErrKindInternal: an invariant the algorithms guarantee was violated —
 	// always a bug, never caused by user input.
 	ErrKindInternal = hullerr.Internal
-	// ErrKindCanceled: the context of a *Ctx entry point was canceled; the
+	// ErrKindCanceled: the context of a Run entry point was canceled; the
 	// machine stopped between PRAM steps with its counters consistent.
 	ErrKindCanceled = hullerr.Canceled
-	// ErrKindDeadline: the context deadline of a *Ctx entry point expired.
+	// ErrKindDeadline: the context deadline of a Run entry point expired.
 	ErrKindDeadline = hullerr.DeadlineExceeded
 	// ErrKindOverloaded: the serving layer (internal/serve, cmd/hullserve)
 	// shed the request — admission queue full or server closed. Retryable.
@@ -128,15 +129,15 @@ var (
 	// ErrNonFinite matches invalid-input errors (NaN/±Inf coordinates and
 	// other precondition violations).
 	ErrNonFinite = hullerr.ErrNonFinite
-	// ErrUnsorted matches unsorted-input errors from PresortedHull,
-	// LogStarHull and OptimalHull.
+	// ErrUnsorted matches unsorted-input errors from the AlgoPresorted,
+	// AlgoLogStar and AlgoOptimal runs.
 	ErrUnsorted = hullerr.ErrUnsorted
 	// ErrBudget matches budget-exhaustion errors.
 	ErrBudget = hullerr.ErrBudget
-	// ErrCanceled matches context-cancellation errors from the *Ctx entry
+	// ErrCanceled matches context-cancellation errors from the Run entry
 	// points.
 	ErrCanceled = hullerr.ErrCanceled
-	// ErrDeadline matches context-deadline errors from the *Ctx entry
+	// ErrDeadline matches context-deadline errors from the Run entry
 	// points.
 	ErrDeadline = hullerr.ErrDeadline
 	// ErrOverload matches admission-control shedding from the serving
@@ -157,90 +158,25 @@ func IsTyped(err error) bool { return hullerr.IsTyped(err) }
 
 // Results of the parallel algorithms.
 type (
-	// PresortedResult is the output of PresortedHull and LogStarHull.
+	// PresortedResult is the §2 record of AlgoPresorted and AlgoLogStar
+	// runs (Run2DResult.Presorted).
 	PresortedResult = presorted.Result
-	// Hull2DResult is the output of Hull2D.
+	// Hull2DResult is the §4.1 record of AlgoHull2D runs
+	// (Run2DResult.Unsorted).
 	Hull2DResult = unsorted.Result2D
 	// Hull2DOptions tunes the §4.1 constants.
 	Hull2DOptions = unsorted.Options
-	// Hull3DResult is the output of Hull3D.
+	// Hull3DResult is the output of Run3D.
 	Hull3DResult = unsorted.Result3D
 	// Hull3DOptions tunes the §4.3 constants.
 	Hull3DOptions = unsorted.Options3D
 )
 
-// PresortedHull computes the upper hull of points sorted by strictly
-// increasing x in O(1) measured PRAM steps with O(n log n) processors
-// (§2.2, Lemma 2.5).
-//
-// Deprecated: use Run2D with RunConfig{Algorithm: AlgoPresorted, Direct: true}.
-func PresortedHull(m *Machine, rnd *Rand, pts []Point) (PresortedResult, error) {
-	r, _, err := Run2D(context.Background(), m, rnd, pts, RunConfig{Algorithm: AlgoPresorted, Direct: true})
-	return *r.Presorted, err
-}
-
-// LogStarHull computes the upper hull of pre-sorted points in O(log* n)
-// measured steps with O(n) processors (§2.5, Theorem 2).
-//
-// Deprecated: use Run2D with RunConfig{Algorithm: AlgoLogStar, Direct: true}.
-func LogStarHull(m *Machine, rnd *Rand, pts []Point) (PresortedResult, error) {
-	r, _, err := Run2D(context.Background(), m, rnd, pts, RunConfig{Algorithm: AlgoLogStar, Direct: true})
-	return *r.Presorted, err
-}
-
 // OptimalReport is the output of AlgoOptimal runs (§2.6).
 type OptimalReport = presorted.OptimalReport
 
-// OptimalHull computes the upper hull of pre-sorted points with the §2.6
-// processor budget: O(log* n) time scheduled on n/log*(n) processors via
-// the Lemma 7 simulation (the paper defers the construction to its full
-// version; see DESIGN.md §5).
-//
-// Deprecated: use Run2D with RunConfig{Algorithm: AlgoOptimal}.
-func OptimalHull(m *Machine, rnd *Rand, pts []Point) (OptimalReport, error) {
-	r, _, err := Run2D(context.Background(), m, rnd, pts, RunConfig{Algorithm: AlgoOptimal})
-	return *r.Optimal, err
-}
-
-// Hull2D computes the upper hull of unsorted points in O(log n) measured
-// steps and O(n log h) work (§4.1, Theorem 5).
-//
-// Deprecated: use Run2D with RunConfig{Direct: true} (or supervised with
-// the zero RunConfig).
-func Hull2D(m *Machine, rnd *Rand, pts []Point) (Hull2DResult, error) {
-	r, _, err := Run2D(context.Background(), m, rnd, pts, RunConfig{Direct: true})
-	return *r.Unsorted, err
-}
-
-// Hull2DWithOptions is Hull2D with explicit §4.1 constants.
-//
-// Deprecated: use Run2D with RunConfig{Options2D: opt, Direct: true}.
-func Hull2DWithOptions(m *Machine, rnd *Rand, pts []Point, opt Hull2DOptions) (Hull2DResult, error) {
-	r, _, err := Run2D(context.Background(), m, rnd, pts, RunConfig{Options2D: opt, Direct: true})
-	return *r.Unsorted, err
-}
-
-// Hull3D computes the upper-hull cap structure of unsorted 3-d points in
-// O(log² n) measured steps and O(min{n log² h, n log n}) work (§4.3,
-// Theorem 6). See Hull3DResult for the output contract.
-//
-// Deprecated: use Run3D with RunConfig{Direct: true} (or supervised with
-// the zero RunConfig).
-func Hull3D(m *Machine, rnd *Rand, pts []Point3) (Hull3DResult, error) {
-	r, _, err := Run3D(context.Background(), m, rnd, pts, RunConfig{Direct: true})
-	return r, err
-}
-
-// Hull3DWithOptions is Hull3D with explicit §4.3 constants.
-//
-// Deprecated: use Run3D with RunConfig{Options3D: opt, Direct: true}.
-func Hull3DWithOptions(m *Machine, rnd *Rand, pts []Point3, opt Hull3DOptions) (Hull3DResult, error) {
-	r, _, err := Run3D(context.Background(), m, rnd, pts, RunConfig{Options3D: opt, Direct: true})
-	return r, err
-}
-
-// Supervision layer (internal/resilient): the *Ctx entry points run the
-// randomized algorithms under a supervisor combining cancellation/deadline
+// Supervision layer (internal/resilient): the Run entry points run the
+// randomized algorithms (unless RunConfig.Direct) under a supervisor combining cancellation/deadline
 // propagation, reseeded retries with exponential budget escalation, and a
 // deterministic sequential degradation ladder. Their contract is "a
 // correct hull or a typed error, never a wrong answer": every ladder
@@ -287,54 +223,6 @@ const (
 	// TierDegenerate: the last-resort 3-d degenerate-cap construction.
 	TierDegenerate = resilient.TierDegenerate
 )
-
-// Hull2DCtx is Hull2D under the supervisor: it honors ctx cancellation and
-// deadlines between PRAM steps, retries budget surrenders with fresh
-// seeds, and degrades to the sequential baseline after the retry cap.
-//
-// Deprecated: use Run2D with RunConfig{Policy: pol}.
-func Hull2DCtx(ctx context.Context, m *Machine, rnd *Rand, pts []Point, pol Policy) (Hull2DResult, RunReport, error) {
-	r, rep, err := Run2D(ctx, m, rnd, pts, RunConfig{Policy: pol})
-	return *r.Unsorted, rep, err
-}
-
-// Hull2DCtxOptions is Hull2DCtx with explicit §4.1 constants.
-//
-// Deprecated: use Run2D with RunConfig{Options2D: opt, Policy: pol}.
-func Hull2DCtxOptions(ctx context.Context, m *Machine, rnd *Rand, pts []Point, opt Hull2DOptions, pol Policy) (Hull2DResult, RunReport, error) {
-	r, rep, err := Run2D(ctx, m, rnd, pts, RunConfig{Options2D: opt, Policy: pol})
-	return *r.Unsorted, rep, err
-}
-
-// Hull3DCtx is Hull3D under the supervisor (see Hull2DCtx).
-//
-// Deprecated: use Run3D with RunConfig{Policy: pol}.
-func Hull3DCtx(ctx context.Context, m *Machine, rnd *Rand, pts []Point3, pol Policy) (Hull3DResult, RunReport, error) {
-	return Run3D(ctx, m, rnd, pts, RunConfig{Policy: pol})
-}
-
-// Hull3DCtxOptions is Hull3DCtx with explicit §4.3 constants.
-//
-// Deprecated: use Run3D with RunConfig{Options3D: opt, Policy: pol}.
-func Hull3DCtxOptions(ctx context.Context, m *Machine, rnd *Rand, pts []Point3, opt Hull3DOptions, pol Policy) (Hull3DResult, RunReport, error) {
-	return Run3D(ctx, m, rnd, pts, RunConfig{Options3D: opt, Policy: pol})
-}
-
-// PresortedHullCtx is PresortedHull under the supervisor (see Hull2DCtx).
-//
-// Deprecated: use Run2D with RunConfig{Algorithm: AlgoPresorted, Policy: pol}.
-func PresortedHullCtx(ctx context.Context, m *Machine, rnd *Rand, pts []Point, pol Policy) (PresortedResult, RunReport, error) {
-	r, rep, err := Run2D(ctx, m, rnd, pts, RunConfig{Algorithm: AlgoPresorted, Policy: pol})
-	return *r.Presorted, rep, err
-}
-
-// LogStarHullCtx is LogStarHull under the supervisor (see Hull2DCtx).
-//
-// Deprecated: use Run2D with RunConfig{Algorithm: AlgoLogStar, Policy: pol}.
-func LogStarHullCtx(ctx context.Context, m *Machine, rnd *Rand, pts []Point, pol Policy) (PresortedResult, RunReport, error) {
-	r, rep, err := Run2D(ctx, m, rnd, pts, RunConfig{Algorithm: AlgoLogStar, Policy: pol})
-	return *r.Presorted, rep, err
-}
 
 // FullHullResult is the output of FullHull2DParallel.
 type FullHullResult = unsorted.FullResult

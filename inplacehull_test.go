@@ -1,6 +1,7 @@
 package inplacehull
 
 import (
+	"context"
 	"testing"
 
 	"inplacehull/internal/workload"
@@ -9,10 +10,11 @@ import (
 func TestPublicAPIQuickstart(t *testing.T) {
 	pts := workload.Disk(1, 500)
 	m := NewMachine()
-	res, err := Hull2D(m, NewRand(42), pts)
+	r, _, err := Run2D(context.Background(), m, NewRand(42), pts, RunConfig{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := *r.Unsorted
 	if err := VerifyHull2D(pts, res); err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +30,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 func TestPublicAPIPresorted(t *testing.T) {
 	pts := prepSorted(workload.Gaussian(2, 400))
 	m := NewMachine()
-	res, err := PresortedHull(m, NewRand(1), pts)
+	res, _, err := Run2D(context.Background(), m, NewRand(1), pts, RunConfig{Algorithm: AlgoPresorted, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := LogStarHull(NewMachine(), NewRand(1), pts)
+	res2, _, err := Run2D(context.Background(), NewMachine(), NewRand(1), pts, RunConfig{Algorithm: AlgoLogStar, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestPublicAPIPresorted(t *testing.T) {
 func TestPublicAPI3D(t *testing.T) {
 	pts := workload.Ball(3, 300)
 	m := NewMachine()
-	res, err := Hull3D(m, NewRand(7), pts)
+	res, _, err := Run3D(context.Background(), m, NewRand(7), pts, RunConfig{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 	var first outcome
 	for i, w := range []int{1, 3, 8} {
 		m := NewMachine(WithWorkers(w))
-		res, err := Hull2D(m, NewRand(9), pts)
+		res, _, err := Run2D(context.Background(), m, NewRand(9), pts, RunConfig{Direct: true})
 		if err != nil {
 			t.Fatal(err)
 		}

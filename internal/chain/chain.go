@@ -54,6 +54,32 @@ func FromSorted(pts []geom.Point) Chain {
 	return Chain{V: h}
 }
 
+// Canonical rebuilds the strict upper hull from a computed chain plus the
+// (x, y)-sorted input it came from. The parallel algorithms' chains
+// deviate from canonical form in two documented ways (see
+// unsorted.CheckAgainstReference): collinear hull edges may be
+// subdivided, and a vertical column at an extreme x may be answered as a
+// "vertex cap" with the column's top point absent from the chain. A
+// strict monotone pass over the chain vertices plus the extreme columns'
+// top points repairs both, and is exactly hull2d.UpperHull restricted to
+// known hull candidates — O(h log h), not O(n log n).
+func Canonical(pts, computed []geom.Point) []geom.Point {
+	if len(pts) == 0 {
+		return nil
+	}
+	cand := append([]geom.Point(nil), computed...)
+	// pts is sorted by (x, y): the top of the first x-column is the last
+	// point of the leading equal-x run; the top of the last column is the
+	// final point.
+	i := 1
+	for i < len(pts) && pts[i].X == pts[0].X {
+		i++
+	}
+	cand = append(cand, pts[i-1], pts[len(pts)-1])
+	sort.Slice(cand, func(a, b int) bool { return geom.LexLess(cand[a], cand[b]) })
+	return FromSorted(cand).V
+}
+
 // Validate reports whether the chain satisfies the upper-hull invariants.
 func (c Chain) Validate() bool {
 	for i, v := range c.V {

@@ -1,12 +1,15 @@
-// Package engine is the execution-backend seam: one interface over the
-// five hull algorithms with two implementations. Counted wraps the
-// existing simulated-PRAM path (the resilient supervisor over
-// internal/presorted and internal/unsorted — bit-identical semantics,
-// kept for experiments and as the parity oracle); Native wraps
-// internal/native, the direct host-speed path the serving layer defaults
-// to. The root Run2D/Run3D/RunAuto2D/RunAuto3D entry points and
-// internal/serve dispatch through this interface, so a backend choice is
-// one value (resilient.Backend), not a different call matrix.
+// Package engine is the execution seam between the hull entry points and
+// the two backends. The counted backend is the simulated-PRAM path: the
+// resilient supervisor over internal/presorted and internal/unsorted,
+// with bit-identical semantics, kept for experiments and as the parity
+// oracle. The native backend is internal/native, the direct host-speed
+// path the serving layer defaults to.
+//
+// Every hull request runs through one Plan (plan.go) once its backend
+// and cull policy are resolved: filter, dispatch, lift. The root
+// Run2D/Run3D/RunAuto2D/RunAuto3D entry points, internal/serve and the
+// shard workers all call it, so a backend choice is one value
+// (resilient.Backend), not a different call matrix.
 package engine
 
 import (
@@ -17,100 +20,25 @@ import (
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/native"
 	"inplacehull/internal/pram"
-	"inplacehull/internal/presorted"
 	"inplacehull/internal/resilient"
-	"inplacehull/internal/rng"
 	"inplacehull/internal/unsorted"
 )
 
-// Engine executes the paper's five algorithms. Implementations must
-// return typed *hullerr.Error failures and reports stamped with their
-// backend; the hull outputs of the two implementations are canonical and
-// parity-gated against each other (see the root backend parity suite).
-type Engine interface {
-	// Backend identifies the implementation.
-	Backend() resilient.Backend
-	// Hull2D is the §4.1 unsorted-input upper hull.
-	Hull2D(ctx context.Context, pts []geom.Point, opt unsorted.Options, pol resilient.Policy) (unsorted.Result2D, resilient.Report, error)
-	// Presorted is the §2.2 constant-time algorithm (strictly x-sorted input).
-	Presorted(ctx context.Context, pts []geom.Point, pol resilient.Policy) (presorted.Result, resilient.Report, error)
-	// LogStar is the §2.5 O(log* n)-step algorithm (sorted input).
-	LogStar(ctx context.Context, pts []geom.Point, pol resilient.Policy) (presorted.Result, resilient.Report, error)
-	// Optimal is the §2.6 processor-optimal schedule. The scheduling
-	// numbers (processors, virtual time) are counted-engine constructions;
-	// the native engine returns the same hull with a zero schedule.
-	Optimal(ctx context.Context, pts []geom.Point) (presorted.OptimalReport, resilient.Report, error)
-	// Hull3D is the §4.3 cap structure.
-	Hull3D(ctx context.Context, pts []geom.Point3, opt unsorted.Options3D, pol resilient.Policy) (unsorted.Result3D, resilient.Report, error)
-}
-
-// Counted returns the simulated-PRAM engine: every call runs on m through
-// the resilient supervisor (reseeded retries, degradation ladder) with
-// randomness from rnd — exactly the semantics of the pre-backend API.
-func Counted(m *pram.Machine, rnd *rng.Stream) Engine { return counted{m: m, rnd: rnd} }
-
-type counted struct {
-	m   *pram.Machine
-	rnd *rng.Stream
-}
-
-func (c counted) Backend() resilient.Backend { return resilient.BackendCounted }
-
-func (c counted) Hull2D(ctx context.Context, pts []geom.Point, opt unsorted.Options, pol resilient.Policy) (unsorted.Result2D, resilient.Report, error) {
-	return resilient.Hull2DOpts(ctx, c.m, c.rnd, pts, opt, pol)
-}
-
-func (c counted) Presorted(ctx context.Context, pts []geom.Point, pol resilient.Policy) (presorted.Result, resilient.Report, error) {
-	return resilient.PresortedHull(ctx, c.m, c.rnd, pts, pol)
-}
-
-func (c counted) LogStar(ctx context.Context, pts []geom.Point, pol resilient.Policy) (presorted.Result, resilient.Report, error) {
-	return resilient.LogStarHull(ctx, c.m, c.rnd, pts, pol)
-}
-
-func (c counted) Optimal(ctx context.Context, pts []geom.Point) (presorted.OptimalReport, resilient.Report, error) {
-	const op = "engine.Optimal"
-	before := c.m.Snap()
-	c.m.SetContext(ctx)
-	defer c.m.SetContext(nil)
-	r, err := func() (out presorted.OptimalReport, err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if cc, ok := pram.AsCancellation(rec); ok {
-					err = hullerr.FromContext(op, cc.Cause)
-					return
-				}
-				panic(rec)
-			}
-		}()
-		return presorted.Optimal(c.m, c.rnd, pts)
-	}()
-	d := c.m.Delta(before)
-	rep := resilient.Report{Attempts: 1, Tier: resilient.TierRandomized,
-		TotalSteps: d.Time, TotalWork: d.Work, ExecBackend: resilient.BackendCounted}
-	return r, rep, err
-}
-
-func (c counted) Hull3D(ctx context.Context, pts []geom.Point3, opt unsorted.Options3D, pol resilient.Policy) (unsorted.Result3D, resilient.Report, error) {
-	return resilient.Hull3DOpts(ctx, c.m, c.rnd, pts, opt, pol)
+// NativeEngine is the direct engine bound to one seed and sink.
+type NativeEngine struct {
+	seed uint64
+	sink pram.Sink
 }
 
 // Native returns the direct engine. seed drives the only randomness the
 // native path has (the 3-d incremental insertion order); sink, when
 // non-nil, receives wall-time spans and steps==0 item charges. The native
 // path needs no supervision — its algorithms are deterministic and
-// oracle-checked where randomness is involved — so Policy is accepted for
-// interface symmetry and ignored, and reports always show one attempt.
-// Context is honored at call boundaries (native runs are short; there are
-// no step barriers to poll between).
-func Native(seed uint64, sink pram.Sink) Engine { return nativeEngine{seed: seed, sink: sink} }
-
-type nativeEngine struct {
-	seed uint64
-	sink pram.Sink
-}
-
-func (nativeEngine) Backend() resilient.Backend { return resilient.BackendNative }
+// oracle-checked where randomness is involved — so options and Policy are
+// accepted for symmetry with the counted calls and ignored, and reports
+// always show one attempt. Context is honored at call boundaries (native
+// runs are short; there are no step barriers to poll between).
+func Native(seed uint64, sink pram.Sink) NativeEngine { return NativeEngine{seed: seed, sink: sink} }
 
 // nativeReport is the direct engine's account: one attempt on the primary
 // path, no counted cost (the native backend has no step or work counters —
@@ -139,35 +67,15 @@ func run[T any](ctx context.Context, op string, fn func() (T, error)) (out T, re
 	return
 }
 
-func (e nativeEngine) Hull2D(ctx context.Context, pts []geom.Point, _ unsorted.Options, _ resilient.Policy) (unsorted.Result2D, resilient.Report, error) {
+// Hull2D is the §4.1 unsorted-input upper hull on the native backend.
+func (e NativeEngine) Hull2D(ctx context.Context, pts []geom.Point, _ unsorted.Options, _ resilient.Policy) (unsorted.Result2D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull2D", func() (unsorted.Result2D, error) {
 		return native.Upper2D(pts, e.sink)
 	})
 }
 
-func (e nativeEngine) Presorted(ctx context.Context, pts []geom.Point, _ resilient.Policy) (presorted.Result, resilient.Report, error) {
-	return run(ctx, "engine.Native.Presorted", func() (presorted.Result, error) {
-		return native.Presorted(pts, e.sink)
-	})
-}
-
-func (e nativeEngine) LogStar(ctx context.Context, pts []geom.Point, pol resilient.Policy) (presorted.Result, resilient.Report, error) {
-	// The §2.2 and §2.5 algorithms differ only in how they spend PRAM
-	// resources; their canonical outputs coincide, so the native backend
-	// shares one implementation.
-	return run(ctx, "engine.Native.LogStar", func() (presorted.Result, error) {
-		return native.Presorted(pts, e.sink)
-	})
-}
-
-func (e nativeEngine) Optimal(ctx context.Context, pts []geom.Point) (presorted.OptimalReport, resilient.Report, error) {
-	return run(ctx, "engine.Native.Optimal", func() (presorted.OptimalReport, error) {
-		r, err := native.Presorted(pts, e.sink)
-		return presorted.OptimalReport{Result: r}, err
-	})
-}
-
-func (e nativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.Options3D, _ resilient.Policy) (unsorted.Result3D, resilient.Report, error) {
+// Hull3D is the §4.3 cap structure on the native backend.
+func (e NativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.Options3D, _ resilient.Policy) (unsorted.Result3D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull3D", func() (unsorted.Result3D, error) {
 		return native.Hull3D(e.seed, pts, e.sink)
 	})
@@ -175,9 +83,9 @@ func (e nativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.
 
 // NativeHull3DFrom is the culled-admission variant of the native 3-d
 // path: the incremental hull runs over culled, caps are assigned and
-// oracle-checked over full (see native.Hull3DFrom). It sits outside the
-// Engine interface because only the native backend can honor it — counted
-// 3-d facet identities are not stable under input subsetting.
+// oracle-checked over full (see native.Hull3DFrom). Only the native
+// backend can honor it — counted 3-d facet identities are not stable
+// under input subsetting.
 func NativeHull3DFrom(ctx context.Context, seed uint64, full, culled []geom.Point3, sink pram.Sink) (unsorted.Result3D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull3DFrom", func() (unsorted.Result3D, error) {
 		return native.Hull3DFrom(seed, full, culled, sink)

@@ -2,15 +2,20 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"inplacehull/internal/hullerr"
+	"inplacehull/internal/pram"
+	"inplacehull/internal/resilient"
 )
 
 // executor is the per-machine serving loop: pick up one request, coalesce
-// a batch around it, run the batch on a single fleet checkout, repeat.
-// Executors outnumber nothing — there is exactly one per fleet machine —
-// so a checkout never blocks and the queue is the only waiting room.
+// a batch around it, run the batch (on a single fleet checkout when it
+// holds a counted request), repeat. Executors outnumber nothing — there
+// is exactly one per fleet machine — so a checkout never blocks, the
+// queue is the only waiting room, and native requests are bounded by the
+// same one-executor-per-fleet-slot concurrency as counted ones.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
@@ -32,11 +37,12 @@ func (s *Server) executor() {
 	}
 }
 
-// bypass reports whether r is large enough to dispatch solo: batching
-// exists to amortize dispatch overhead across small queries, and a large
-// query amortizes it by itself.
+// bypass reports whether r dispatches solo. Batching exists to amortize
+// machine dispatch across small counted queries: a large query amortizes
+// it by itself, and a native query has no machine dispatch to amortize.
 func (s *Server) bypass(r *request) bool {
-	return len(r.pts2)+len(r.pts3) >= s.cfg.BypassBatchN
+	return r.plan.Backend == resilient.BackendNative ||
+		len(r.in2.Work)+len(r.in3.Work) >= s.cfg.BypassBatchN
 }
 
 // fill coalesces a batch around first: greedily take what is already
@@ -47,8 +53,8 @@ func (s *Server) bypass(r *request) bool {
 // with the whole queue's clients blocked on us would buy nothing (the
 // closed-loop pathology: under saturating load every arrival is already
 // here, and the stragglers the window waits for cannot arrive until we
-// answer). Large queries never wait out the window either; they amortize
-// a dispatch by themselves.
+// answer). Large and native queries never wait out the window either
+// (see bypass).
 func (s *Server) fill(first *request) []*request {
 	batch := []*request{first}
 	if s.cfg.MaxBatch <= 1 || s.bypass(first) {
@@ -93,20 +99,24 @@ func (s *Server) fill(first *request) []*request {
 	return batch
 }
 
-// runBatch executes a batch on one machine checkout. Requests whose
-// deadline expired while queued are answered typed without machine time.
+// runBatch executes a batch, checking one machine out only when the
+// batch holds a counted request. Requests whose deadline expired while
+// queued are answered typed without compute.
 func (s *Server) runBatch(batch []*request) {
-	m, err := s.fleet.Checkout(context.Background())
-	if err != nil {
-		// Only possible if the fleet was closed under a live executor —
-		// which Close's ordering (wg.Wait before fleet.Close) forbids.
-		// Answer typed anyway rather than strand the batch.
-		for _, r := range batch {
-			r.respond(Result{}, hullerr.New(hullerr.Overloaded, r.op, "machine fleet closed"))
+	var m *pram.Machine
+	if slices.ContainsFunc(batch, func(r *request) bool { return r.plan.Backend == resilient.BackendCounted }) {
+		var err error
+		if m, err = s.fleet.Checkout(context.Background()); err != nil {
+			// Only possible if the fleet was closed under a live executor
+			// — which Close's ordering (wg.Wait before fleet.Close)
+			// forbids. Answer typed anyway rather than strand the batch.
+			for _, r := range batch {
+				r.respond(Result{}, hullerr.New(hullerr.Overloaded, r.op, "machine fleet closed"))
+			}
+			return
 		}
-		return
+		defer s.fleet.Return(m)
 	}
-	defer s.fleet.Return(m)
 	s.count(&s.batches, "batches_total")
 	for _, r := range batch {
 		s.count(&s.batchedQueries, "batched_queries_total")

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"inplacehull/internal/cull"
@@ -12,11 +11,8 @@ import (
 	"inplacehull/internal/hullhash"
 	"inplacehull/internal/native"
 	"inplacehull/internal/pram"
-	"inplacehull/internal/presorted"
 	"inplacehull/internal/resilient"
-	"inplacehull/internal/shard"
 	"inplacehull/internal/stream"
-	"inplacehull/internal/unsorted"
 )
 
 // Algo selects the 2-d hull algorithm a query runs. Only the supervised
@@ -143,22 +139,19 @@ type Result struct {
 // request is one admitted query in flight between a caller and an
 // executor.
 type request struct {
-	ctx     context.Context
-	op      string
-	q       Query
-	dim     int               // 2 or 3
-	backend resilient.Backend // resolved: never BackendAuto
-	cull    cull.Policy       // resolved: never PolicyAuto
-	pts2    []geom.Point
-	pts3    []geom.Point3
-	// full2/full3 hold the original input when the admission filter
-	// discarded anything (then pts2/pts3 are the survivors and culled is
-	// the discard count); nil when culling was off or a no-op — the
-	// request then behaves bit-identically to an unculled one.
-	full2  []geom.Point
-	full3  []geom.Point3
-	culled int
-	key    hullhash.Sum
+	ctx  context.Context
+	op   string
+	q    Query
+	dim  int // 2 or 3
+	plan engine.Plan
+	pts2 []geom.Point
+	pts3 []geom.Point3
+	// in2/in3 are the input after the plan's filter step (on the
+	// cache-miss path, before admission): what queues, batches and
+	// executes is the working set, what the answer covers is the full one.
+	in2 engine.Input2D
+	in3 engine.Input3D
+	key hullhash.Sum
 	// stream/content: a stream-dataset query carries its snapshot's
 	// content hash so the cached answer can be evicted when that version
 	// is superseded.
@@ -168,106 +161,56 @@ type request struct {
 	enq     time.Time
 }
 
-// resolveBackend parses the query's wire backend and resolves "auto" to
-// the server default.
-func (s *Server) resolveBackend(op string, q Query) (resilient.Backend, error) {
+// plan resolves the query's wire backend and cull policy ("auto" and
+// the absent field defer to the server defaults) and applies its
+// exactness and tolerance overrides to the server policy (the native
+// backend is always exact and ignores them). The result is the engine
+// plan that filters, executes and lifts the request.
+func (s *Server) plan(op string, q Query) (engine.Plan, error) {
 	b, ok := resilient.ParseBackend(q.Backend)
 	if !ok {
-		return 0, hullerr.New(hullerr.InvalidInput, op, "unknown backend %q", q.Backend)
+		return engine.Plan{}, hullerr.New(hullerr.InvalidInput, op, "unknown backend %q", q.Backend)
 	}
 	if b == resilient.BackendAuto {
 		b = s.cfg.Backend
 	}
-	return b, nil
-}
-
-// resolveCull parses the query's wire cull policy and resolves "auto" (and
-// the absent field) to the server default; the result is always concrete.
-func (s *Server) resolveCull(op string, q Query) (cull.Policy, error) {
-	p := cull.PolicyAuto
+	c := cull.PolicyAuto
 	if q.Cull != "" {
-		var ok bool
-		if p, ok = cull.ParsePolicy(q.Cull); !ok {
-			return 0, hullerr.New(hullerr.InvalidInput, op, "unknown cull policy %q", q.Cull)
+		if c, ok = cull.ParsePolicy(q.Cull); !ok {
+			return engine.Plan{}, hullerr.New(hullerr.InvalidInput, op, "unknown cull policy %q", q.Cull)
 		}
 	}
-	if p == cull.PolicyAuto {
-		p = s.cfg.Cull
+	if c == cull.PolicyAuto {
+		c = s.cfg.Cull
 	}
-	return p.Resolve(), nil
+	pol := s.cfg.Policy
+	if q.RequireExact {
+		pol.RequireExact = true
+	}
+	if q.ApproxEps > 0 {
+		pol.ApproxEps = q.ApproxEps
+	}
+	return engine.Plan{Backend: b, Algo: engine.Algo(q.Algo), Cull: c.Resolve(),
+		CullSeed: q.Seed, Seed: q.Seed, Policy: pol}, nil
 }
 
-// applyCull runs the admission filter on a cache-missed request, swapping
-// the survivors in as the working point set. It is a no-op for sorted-
-// input algorithms (culling an unsorted input could accidentally sort it,
-// converting a typed UnsortedInput failure into an answer) and for
-// counted 3-d queries (facet identities under the counted engine are not
-// stable under input subsetting; the native engine reassigns caps over
-// the full set via Hull3DFrom, so it culls freely).
-func (s *Server) applyCull(r *request) {
-	if r.cull == cull.PolicyOff {
+// filter runs the plan's filter step on a cache-missed request, before
+// admission: the survivors are what queues, batches (bypass compares
+// effective-n) and executes.
+func (s *Server) filter(r *request) {
+	var ran bool
+	if r.dim == 3 {
+		r.in3, ran = r.plan.Filter3(r.pts3)
+	} else {
+		r.in2, ran = r.plan.Filter2(r.pts2)
+	}
+	if !ran {
 		return
 	}
-	if r.dim == 2 {
-		if r.q.Algo != AlgoHull2D {
-			return
-		}
-		survivors := cull.Points2(r.cull, r.q.Seed, r.pts2)
-		s.count(&s.cullQueries, "cull_queries_total")
-		if len(survivors) == len(r.pts2) {
-			return
-		}
-		r.full2, r.pts2 = r.pts2, survivors
-		r.culled = len(r.full2) - len(survivors)
-	} else {
-		if r.backend != resilient.BackendNative {
-			return
-		}
-		survivors := cull.Points3(r.cull, r.q.Seed, r.pts3)
-		s.count(&s.cullQueries, "cull_queries_total")
-		if len(survivors) == len(r.pts3) {
-			return
-		}
-		r.full3, r.pts3 = r.pts3, survivors
-		r.culled = len(r.full3) - len(survivors)
+	s.count(&s.cullQueries, "cull_queries_total")
+	if n := r.in2.Culled() + r.in3.Culled(); n > 0 {
+		s.countN(&s.cullPoints, "cull_points_total", int64(n))
 	}
-	s.countN(&s.cullPoints, "cull_points_total", int64(r.culled))
-}
-
-// liftCulled maps a backend answer computed over the culled survivors back
-// onto the full input: N and EdgeOf cover every submitted point, and
-// counted exact-tier chains are canonicalized (shard.Canonical) so the
-// answer is the canonical strict hull — bit-identical to the native
-// backend and to the hull of the unculled input. Approximate-tier chains
-// pass through unchanged: their certified ε transfers to the full set
-// (every discarded point lies strictly below the true upper hull, whose
-// vertices are survivors the certificate measured; vertical excess above
-// a concave chain is maximized at those bracketing vertices).
-func (s *Server) liftCulled(r *request, res Result) Result {
-	if r.dim == 3 {
-		if r.full3 != nil {
-			res.N = len(r.full3)
-			res.Culled = r.culled
-		}
-		return res
-	}
-	if r.full2 == nil {
-		return res
-	}
-	if r.backend == resilient.BackendCounted && res.Report.Tier != resilient.TierApproximate {
-		sorted := append([]geom.Point(nil), r.full2...)
-		sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
-		chain := shard.Canonical(sorted, res.Chain)
-		res.Chain = chain
-		res.Edges = nil
-		for i := 1; i < len(chain); i++ {
-			res.Edges = append(res.Edges, geom.Edge{U: chain[i-1], W: chain[i]})
-		}
-	}
-	res.EdgeOf = native.Locate(r.full2, res.Edges)
-	res.N = len(r.full2)
-	res.Culled = r.culled
-	return res
 }
 
 type response struct {
@@ -292,10 +235,7 @@ func (s *Server) Query2D(ctx context.Context, q Query) (Result, error) {
 		return Result{}, hullerr.New(hullerr.InvalidInput, op, "3-d points on the 2-d endpoint")
 	}
 	var err error
-	if r.backend, err = s.resolveBackend(op, q); err != nil {
-		return Result{}, err
-	}
-	if r.cull, err = s.resolveCull(op, q); err != nil {
+	if r.plan, err = s.plan(op, q); err != nil {
 		return Result{}, err
 	}
 	var dsHash hullhash.Sum
@@ -336,7 +276,7 @@ func (s *Server) Query2D(ctx context.Context, q Query) (Result, error) {
 		r.pts2 = q.Points2
 	}
 	r.key = s.key(r, dsHash, haveDS)
-	if r.stream && q.Shards == 0 && q.Algo == AlgoHull2D && r.backend == resilient.BackendNative {
+	if r.stream && q.Shards == 0 && q.Algo == AlgoHull2D && r.plan.Backend == resilient.BackendNative {
 		return s.streamPatched2(r, snap)
 	}
 	if q.Shards != 0 {
@@ -434,10 +374,7 @@ func (s *Server) Query3D(ctx context.Context, q Query) (Result, error) {
 		return Result{}, hullerr.New(hullerr.InvalidInput, op, "2-d points on the 3-d endpoint")
 	}
 	var err error
-	if r.backend, err = s.resolveBackend(op, q); err != nil {
-		return Result{}, err
-	}
-	if r.cull, err = s.resolveCull(op, q); err != nil {
+	if r.plan, err = s.plan(op, q); err != nil {
 		return Result{}, err
 	}
 	var dsHash hullhash.Sum
@@ -475,7 +412,7 @@ func (s *Server) Query3D(ctx context.Context, q Query) (Result, error) {
 		r.pts3 = q.Points3
 	}
 	r.key = s.key(r, dsHash, haveDS)
-	if r.stream && r.backend == resilient.BackendNative {
+	if r.stream && r.plan.Backend == resilient.BackendNative {
 		return s.streamPatched3(r, snap)
 	}
 	return s.do(r)
@@ -506,8 +443,8 @@ func (s *Server) key(r *request, dsHash hullhash.Sum, haveDS bool) hullhash.Sum 
 	h.Bool(r.q.RequireExact)
 	h.Float64(r.q.ApproxEps)
 	h.Int(r.q.Shards)
-	h.Int(int(r.backend))
-	h.Int(int(r.cull))
+	h.Int(int(r.plan.Backend))
+	h.Int(int(r.plan.Cull))
 	return h.Sum()
 }
 
@@ -529,9 +466,7 @@ func (s *Server) do(r *request) (Result, error) {
 		s.count(&s.deadlineShed, "deadline_shed_total")
 		return Result{}, hullerr.FromContext(r.op, err)
 	}
-	// Cull on the miss path, before admission: the survivors are what
-	// queues, batches (bypass compares effective-n), and executes.
-	s.applyCull(r)
+	s.filter(r)
 	r.enq = start
 	if err := s.submit(r); err != nil {
 		return Result{}, err
@@ -551,52 +486,28 @@ func (s *Server) do(r *request) (Result, error) {
 	}
 }
 
-// execute runs one admitted request: native requests go through the
-// direct engine (the checked-out machine sits idle for them — admission
-// and batching still meter the fleet's concurrency), counted requests
-// run on the machine through the resilient supervisor. The query's
-// per-request exactness and tolerance overrides apply to the server
-// policy either way (the native engine is always exact and ignores
-// them).
+// execute runs one admitted request through its plan. m is the batch's
+// machine checkout, nil when the batch holds no counted request; native
+// requests never touch it.
 func (s *Server) execute(m *pram.Machine, r *request) (Result, error) {
-	pol := s.cfg.Policy
-	if r.q.RequireExact {
-		pol.RequireExact = true
+	p := r.plan
+	if p.Backend == resilient.BackendCounted {
+		p.Machine, p.Rand = m, s.cfg.NewStream(r.q.Seed)
 	}
-	if r.q.ApproxEps > 0 {
-		pol.ApproxEps = r.q.ApproxEps
-	}
-	if r.backend == resilient.BackendNative {
-		return s.executeNative(r, pol)
-	}
-	rnd := s.cfg.NewStream(r.q.Seed)
 	if r.dim == 3 {
-		out, rep, err := resilient.Hull3D(r.ctx, m, rnd, r.pts3, pol)
+		out, rep, err := p.Run3D(r.ctx, r.in3)
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
+		return Result{N: len(r.in3.Full), Culled: r.in3.Culled(), Facets: len(out.Facets),
+			FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
 	}
-	switch r.q.Algo {
-	case AlgoPresorted:
-		out, rep, err := resilient.PresortedHull(r.ctx, m, rnd, r.pts2, pol)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{N: len(r.pts2), Chain: out.Chain, Edges: out.Edges, EdgeOf: out.EdgeOf, Report: rep}, nil
-	case AlgoLogStar:
-		out, rep, err := resilient.LogStarHull(r.ctx, m, rnd, r.pts2, pol)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{N: len(r.pts2), Chain: out.Chain, Edges: out.Edges, EdgeOf: out.EdgeOf, Report: rep}, nil
-	default:
-		out, rep, err := resilient.Hull2D(r.ctx, m, rnd, r.pts2, pol)
-		if err != nil {
-			return Result{}, err
-		}
-		return s.liftCulled(r, Result{N: len(r.pts2), Chain: out.Chain, Edges: out.Edges, EdgeOf: out.EdgeOf, Report: rep}), nil
+	out, rep, err := p.Run2D(r.ctx, r.in2)
+	if err != nil {
+		return Result{}, err
 	}
+	return Result{N: len(r.in2.Full), Culled: r.in2.Culled(), Chain: out.Chain, Edges: out.Edges,
+		EdgeOf: out.EdgeOf, Report: rep}, nil
 }
 
 // facetOf32 narrows a backend's cap assignment for a Result. Answers live
@@ -609,50 +520,4 @@ func facetOf32(facetOf []int) []int32 {
 		out[i] = int32(f)
 	}
 	return out
-}
-
-// executeNative answers one request on the direct engine. The answers
-// are canonical — bit-identical chains and edges to the counted path
-// (the root backend parity suite gates this) — so a cache warmed by one
-// backend is geometrically interchangeable with the other; the entries
-// stay separate only because their reports differ.
-func (s *Server) executeNative(r *request, pol resilient.Policy) (Result, error) {
-	eng := engine.Native(r.q.Seed, nil)
-	if r.dim == 3 {
-		if r.full3 != nil {
-			// Culled: build the hull from the survivors, assign caps over
-			// the full input (oracle-gated inside Hull3DFrom).
-			out, rep, err := engine.NativeHull3DFrom(r.ctx, r.q.Seed, r.full3, r.pts3, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			return s.liftCulled(r, Result{N: len(r.full3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}), nil
-		}
-		out, rep, err := eng.Hull3D(r.ctx, r.pts3, unsorted.Options3D{}, pol)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{N: len(r.pts3), Facets: len(out.Facets), FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
-	}
-	var (
-		out unsorted.Result2D
-		rep resilient.Report
-		err error
-	)
-	switch r.q.Algo {
-	case AlgoPresorted:
-		var pr presorted.Result
-		pr, rep, err = eng.Presorted(r.ctx, r.pts2, pol)
-		out = unsorted.Result2D{Chain: pr.Chain, Edges: pr.Edges, EdgeOf: pr.EdgeOf}
-	case AlgoLogStar:
-		var pr presorted.Result
-		pr, rep, err = eng.LogStar(r.ctx, r.pts2, pol)
-		out = unsorted.Result2D{Chain: pr.Chain, Edges: pr.Edges, EdgeOf: pr.EdgeOf}
-	default:
-		out, rep, err = eng.Hull2D(r.ctx, r.pts2, unsorted.Options{}, pol)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return s.liftCulled(r, Result{N: len(r.pts2), Chain: out.Chain, Edges: out.Edges, EdgeOf: out.EdgeOf, Report: rep}), nil
 }

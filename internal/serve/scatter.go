@@ -43,26 +43,22 @@ func (s *Server) doScattered(ctx context.Context, r *request) (Result, error) {
 	// Cull before scattering: every shard's wire payload and worker run
 	// shrinks, and conv(survivors) == conv(input) keeps the merged chain
 	// bit-identical (the coordinator canonicalizes shard chains anyway).
-	s.applyCull(r)
-	out, err := s.cfg.Sharder.Gather2D(ctx, r.pts2, k, r.q.Seed)
+	s.filter(r)
+	out, err := s.cfg.Sharder.Gather2D(ctx, r.in2.Work, k, r.q.Seed)
 	if err != nil && !errors.Is(err, hullerr.ErrPartialHull) {
 		s.count(&s.errors, "errors_total")
 		return Result{}, err
 	}
-	n := len(r.pts2)
-	if r.full2 != nil {
-		n = len(r.full2)
-	}
 	res := Result{
-		N:      n,
-		Culled: r.culled,
+		N:      len(r.in2.Full),
+		Culled: r.in2.Culled(),
 		Chain:  out.Chain,
 		// The report's backend is the coordinator's resolved default; the
 		// shard workers it fans out to are configured to match (hullserve
 		// wires one -backend through both), though a remote peer is free
 		// to answer with its own engine — the merge only needs canonical
 		// chains, which both engines produce.
-		Report:  resilient.Report{ExecBackend: r.backend},
+		Report:  resilient.Report{ExecBackend: r.plan.Backend},
 		Shards:  out.Shards,
 		Missing: out.Missing,
 		Elapsed: time.Since(start),

@@ -18,23 +18,32 @@
 //     expired while it waited is answered with the typed deadline error
 //     without spending any machine time on it.
 //
-//   - Micro-batching. Executors (one per fleet machine) drain the queue
-//     in batches: after picking up a request, an executor greedily
-//     collects up to Config.MaxBatch more, waiting at most
-//     Config.BatchWindow for stragglers, and runs the whole batch on one
-//     machine checkout. For the small queries that dominate
-//     high-query-rate traffic this keeps each machine's persistent worker
-//     pool warm and busy instead of paying checkout/wake churn per query
-//     — the serving-layer echo of the paper's work-optimality theme
-//     (Theorem 5, Lemma 7): keep the processors you have saturated.
-//     Large queries (≥ Config.BypassBatchN points) are never held back by
-//     the window; they dispatch solo, immediately.
+//   - Micro-batching, for counted queries only. Executors (one per fleet
+//     machine) drain the queue in batches: after picking up a counted
+//     request, an executor greedily collects up to Config.MaxBatch more,
+//     waiting at most Config.BatchWindow for stragglers, and runs the
+//     whole batch on one machine checkout. For the small queries that
+//     dominate high-query-rate traffic this keeps each machine's
+//     persistent worker pool warm and busy instead of paying
+//     checkout/wake churn per query — the serving-layer echo of the
+//     paper's work-optimality theme (Theorem 5, Lemma 7): keep the
+//     processors you have saturated. Large queries (≥ Config.BypassBatchN
+//     points) and native queries are never held back by the window; they
+//     dispatch solo, immediately. Native queries fork and join with no
+//     step barriers, so there is no worker pool to keep warm, and the
+//     window costs more than it says: on an idle go1.24 runtime a 200µs
+//     timer wakes after 1.06–1.15 ms (p10–p90, 2-core host).
 //
-//   - Fleet. Machines come from a pram.Fleet; a batch holds exactly one
-//     checkout. Queries execute through the same internal/resilient
-//     supervisor the public Run2D/Run3D API uses — cancellation
-//     propagation, reseeded retries, sequential degradation ladder — so
-//     the service inherits the "correct hull or typed error" contract.
+//   - Fleet. Machines come from a pram.Fleet; a batch holding a counted
+//     query takes exactly one checkout, a native-only batch none. Every
+//     query executes through the internal/engine plan the public
+//     Run2D/Run3D API uses: cull, then the resilient supervisor
+//     (cancellation propagation, reseeded retries, sequential degradation
+//     ladder) or the guarded native call, then the lift back to the full
+//     input — so the service inherits the "correct hull or typed error"
+//     contract. Native queries still pass through the bounded queue and
+//     the executors, so admission, shedding and the one-executor-per-
+//     machine concurrency bound apply to them too.
 //
 //   - Result cache. A size-bounded LRU keyed by a 128-bit content hash
 //     (internal/hullhash) of the points plus the query configuration.
@@ -83,15 +92,16 @@ type Config struct {
 	// MaxQueue bounds the admission queue; a full queue sheds with the
 	// typed overload error. Default 256.
 	MaxQueue int
-	// MaxBatch caps queries per machine dispatch. 1 disables coalescing
-	// (every query is its own checkout). Default 32.
+	// MaxBatch caps counted queries per machine dispatch. 1 disables
+	// coalescing (every query is its own checkout). Native queries always
+	// dispatch solo. Default 32.
 	MaxBatch int
-	// BatchWindow is how long an executor holds a non-full batch open for
-	// stragglers. 0 means batches only coalesce what is already queued.
-	// Default 200µs.
+	// BatchWindow is how long an executor holds a non-full batch of
+	// counted queries open for stragglers. 0 means batches only coalesce
+	// what is already queued. Native queries never wait. Default 200µs.
 	BatchWindow time.Duration
-	// BypassBatchN: queries with at least this many points dispatch solo
-	// without waiting out the window. Default 8192.
+	// BypassBatchN: counted queries with at least this many points
+	// dispatch solo without waiting out the window. Default 8192.
 	BypassBatchN int
 	// CacheSize bounds the result LRU in entries; 0 disables caching.
 	CacheSize int
@@ -220,12 +230,12 @@ type Server struct {
 	mu     sync.RWMutex // closed-flag handshake between submit and Close
 	closed bool
 
-	queries, admitted, shed, deadlineShed        atomic.Int64
-	completed, errors                            atomic.Int64
-	cacheHits, cacheMisses, cacheEvictions       atomic.Int64
-	batches, batchedQueries                      atomic.Int64
-	cullQueries, cullPoints                      atomic.Int64
-	streamQueries, streamPatched, streamEvicted  atomic.Int64
+	queries, admitted, shed, deadlineShed       atomic.Int64
+	completed, errors                           atomic.Int64
+	cacheHits, cacheMisses, cacheEvictions      atomic.Int64
+	batches, batchedQueries                     atomic.Int64
+	cullQueries, cullPoints                     atomic.Int64
+	streamQueries, streamPatched, streamEvicted atomic.Int64
 
 	// byContent indexes cached entries by the stream content hash they
 	// were computed over, so a committed mutation evicts exactly the

@@ -295,13 +295,15 @@ func TestDeadlineTyped(t *testing.T) {
 // accumulates in the queue and is served in far fewer machine dispatches
 // than queries.
 func TestBatching(t *testing.T) {
+	// Coalescing exists only for counted queries: native ones dispatch
+	// solo (TestNativeSkipsBatchWindow).
 	s := small(t, Config{FleetSize: 1, MaxQueue: 64, MaxBatch: 16, BatchWindow: 2 * time.Millisecond})
 	big := workload.Disk(16, 200_000)
 	done := make(chan struct{})
 	go func() {
 		// Culling pinned off so the wedge query stays slow (see
 		// TestAdmissionShedding).
-		_, _ = s.Query2D(context.Background(), Query{Points2: big, Seed: 1, Cull: "off"})
+		_, _ = s.Query2D(context.Background(), Query{Points2: big, Seed: 1, Cull: "off", Backend: "counted"})
 		close(done)
 	}()
 	for s.Stats().Batches < 1 {
@@ -314,7 +316,7 @@ func TestBatching(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			if _, err := s.Query2D(context.Background(), Query{Points2: pts, Seed: seed}); err != nil {
+			if _, err := s.Query2D(context.Background(), Query{Points2: pts, Seed: seed, Backend: "counted"}); err != nil {
 				t.Errorf("burst query: %v", err)
 			}
 		}(uint64(i))
@@ -329,6 +331,36 @@ func TestBatching(t *testing.T) {
 	// strictly fewer dispatches than queries.
 	if st.Batches >= st.BatchedQueries {
 		t.Fatalf("no coalescing: %d batches for %d queries", st.Batches, st.BatchedQueries)
+	}
+}
+
+// TestNativeSkipsBatchWindow: a lone native cache miss neither holds the
+// batch window open nor checks out a machine. The fleet's only machine is
+// held by the test, so a checkout would block until the deadline.
+func TestNativeSkipsBatchWindow(t *testing.T) {
+	const window = time.Second
+	s := small(t, Config{FleetSize: 1, MaxBatch: 16, BatchWindow: window})
+	m, ok := s.fleet.TryCheckout()
+	if !ok {
+		t.Fatal("fleet machine unavailable")
+	}
+	t.Cleanup(func() { s.fleet.Return(m) }) // before s.Close
+	ctx, cancel := context.WithTimeout(context.Background(), window)
+	defer cancel()
+	pts := workload.Disk(20, 64)
+	start := time.Now()
+	res, err := s.Query2D(ctx, Query{Points2: pts, Seed: 1, Backend: "native"})
+	if err != nil {
+		t.Fatalf("lone native query: %v", err)
+	}
+	if took := time.Since(start); took > window/4 {
+		t.Fatalf("lone native query took %v; the %v window must not apply", took, window)
+	}
+	if !sameChain(res.Chain, hull2d.UpperHull(pts)) {
+		t.Fatal("native answer differs from the reference hull")
+	}
+	if st := s.Stats(); st.Batches != 1 || st.BatchedQueries != 1 {
+		t.Fatalf("batches=%d batched_queries=%d, want 1 and 1", st.Batches, st.BatchedQueries)
 	}
 }
 

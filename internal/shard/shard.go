@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"inplacehull/internal/chain"
-	"inplacehull/internal/cull"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/hullhash"
@@ -93,17 +92,6 @@ type Config struct {
 	// be covered for a partial answer (default 0.5). Below it the
 	// coordinator surrenders typed.
 	MinCoverage float64
-	// Cull re-filters each shard with the admission-side interior-point
-	// filter before it is hashed and scattered, shrinking remote wire
-	// payloads and worker runs. The zero value (cull.PolicyAuto) means NO
-	// per-shard culling — the serve layer already culls once before
-	// scattering, and double-filtering buys little; set PolicyQuad /
-	// PolicyOctagon / PolicyCoarse explicitly to opt in (PolicyOff likewise
-	// disables). Like the serve-level filter it can never change the merged
-	// hull: discarded points are certainly strictly inside the convex hull
-	// of surviving shard points, so each shard's canonical chain — and
-	// therefore the common-tangent merge — is bit-identical.
-	Cull cull.Policy
 	// Metrics, when non-nil, receives the scatter counters (flat
 	// inplacehull_serve_shard_* counters plus per-peer
 	// inplacehull_shard_events_total{peer,event} series).
@@ -415,11 +403,6 @@ func (c *Coordinator) runShard(ctx context.Context, plan *Plan, s int, seed uint
 	retries, hedges *atomic.Int64) (Response, error) {
 	const op = "shard.runShard"
 	pts := plan.Points(s)
-	if pol := c.cfg.Cull; pol != cull.PolicyAuto && pol != cull.PolicyOff {
-		survivors := cull.Points2(pol, shardSeed(seed, s), pts)
-		c.count("shard_cull_points_total", int64(len(pts)-len(survivors)))
-		pts = survivors // a subsequence of a sorted slice stays sorted
-	}
 	h := hullhash.New()
 	h.Points2(pts)
 	req := Request{Shard: s, Points: pts, Seed: shardSeed(seed, s), Sum: h.Sum()}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"inplacehull/internal/pram"
 	"inplacehull/internal/resilient"
 	"inplacehull/internal/rng"
-	"inplacehull/internal/unsorted"
 )
 
 // Request is one shard's work order.
@@ -105,14 +103,9 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 	}
 	pol := w.Policy
 	pol.RequireExact = true
-	var (
-		res unsorted.Result2D
-		rep resilient.Report
-		err error
-	)
+	p := engine.Plan{Backend: resilient.BackendNative, Seed: req.Seed, Policy: pol}
 	if w.Backend == resilient.BackendCounted {
-		var m *pram.Machine
-		m, err = w.Fleet.Checkout(ctx)
+		m, err := w.Fleet.Checkout(ctx)
 		if err != nil {
 			return Response{}, err
 		}
@@ -121,10 +114,9 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 		if ns == nil {
 			ns = rng.New
 		}
-		res, rep, err = resilient.Hull2D(ctx, m, ns(req.Seed), req.Points, pol)
-	} else {
-		res, rep, err = engine.Native(req.Seed, nil).Hull2D(ctx, req.Points, unsorted.Options{}, pol)
+		p.Backend, p.Machine, p.Rand = resilient.BackendCounted, m, ns(req.Seed)
 	}
+	res, rep, err := p.Run2D(ctx, engine.Input2D{Full: req.Points, Work: req.Points})
 	if err != nil {
 		return Response{}, err
 	}
@@ -141,31 +133,12 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 	}, nil
 }
 
-// Canonical rebuilds the strict upper hull from a computed chain plus the
-// shard input it came from. The parallel algorithms' chains deviate from
-// canonical form in two documented ways (see unsorted.CheckAgainstReference):
-// collinear hull edges may be subdivided, and a vertical column at an
-// extreme x may be answered as a "vertex cap" with the column's top point
-// absent from the chain. A strict monotone pass over the chain vertices
-// plus the extreme columns' top points repairs both, and is exactly
-// hull2d.UpperHull restricted to known hull candidates — O(h log h), not
-// O(n log n).
-func Canonical(pts, computed []geom.Point) []geom.Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	cand := append([]geom.Point(nil), computed...)
-	// pts is sorted by (x, y): the top of the first x-column is the last
-	// point of the leading equal-x run; the top of the last column is the
-	// final point.
-	i := 1
-	for i < len(pts) && pts[i].X == pts[0].X {
-		i++
-	}
-	cand = append(cand, pts[i-1], pts[len(pts)-1])
-	sort.Slice(cand, func(a, b int) bool { return geom.LexLess(cand[a], cand[b]) })
-	return chain.FromSorted(cand).V
-}
+// Canonical rebuilds the strict upper hull of the (x, y)-sorted shard
+// input pts from a computed chain (chain.Canonical). A shard response
+// is always in this form, whichever backend or ladder tier answered:
+// canonical form is what makes "bit-identical to single-node" meaningful
+// across shard plans.
+func Canonical(pts, computed []geom.Point) []geom.Point { return chain.Canonical(pts, computed) }
 
 // ChaosWorker decorates a Worker with the deterministic network failure
 // modes of internal/fault: shard-slow (straggle past the hedge threshold),

@@ -11,142 +11,7 @@ import (
 	"inplacehull/internal/workload"
 )
 
-// The legacy entry points are one-line wrappers over Run2D/Run3D; these
-// tests pin the contract that motivated keeping them: with the same seed
-// each wrapper returns bit-identical hulls (and reports, for the
-// supervised variants) to the corresponding Run invocation on a fresh
-// machine. A drift here means Run consumed randomness or machine state
-// differently from the pre-redesign entry points.
-
-func TestParityHull2D(t *testing.T) {
-	pts := workload.Disk(21, 800)
-	a, err := Hull2D(NewMachine(), NewRand(99), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run2D(context.Background(), NewMachine(), NewRand(99), pts, RunConfig{Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, *b.Unsorted) {
-		t.Fatal("Hull2D differs from Run2D{Direct}")
-	}
-	if !reflect.DeepEqual(a.Edges, b.Edges) || !reflect.DeepEqual(a.Chain, b.Chain) || !reflect.DeepEqual(a.EdgeOf, b.EdgeOf) {
-		t.Fatal("unified Run2DResult fields differ from the algorithm record")
-	}
-}
-
-func TestParityHull2DWithOptions(t *testing.T) {
-	pts := workload.Gaussian(4, 600)
-	opt := Hull2DOptions{PhaseIters: 3, MaxK: 12}
-	a, err := Hull2DWithOptions(NewMachine(), NewRand(7), pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run2D(context.Background(), NewMachine(), NewRand(7), pts, RunConfig{Options2D: opt, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, *b.Unsorted) {
-		t.Fatal("Hull2DWithOptions differs from Run2D{Options2D, Direct}")
-	}
-}
-
-func TestParityHull2DCtx(t *testing.T) {
-	pts := workload.Circle(5, 400)
-	pol := Policy{MaxAttempts: 2}
-	a, arep, err := Hull2DCtx(context.Background(), NewMachine(), NewRand(3), pts, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, brep, err := Run2D(context.Background(), NewMachine(), NewRand(3), pts, RunConfig{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, *b.Unsorted) || !reflect.DeepEqual(arep, brep) {
-		t.Fatal("Hull2DCtx differs from supervised Run2D")
-	}
-}
-
-func TestParityPresorted(t *testing.T) {
-	pts := prepSorted(workload.Gaussian(8, 500))
-	a, err := PresortedHull(NewMachine(), NewRand(11), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run2D(context.Background(), NewMachine(), NewRand(11), pts, RunConfig{Algorithm: AlgoPresorted, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, *b.Presorted) {
-		t.Fatal("PresortedHull differs from Run2D{AlgoPresorted, Direct}")
-	}
-	as, arep, err := PresortedHullCtx(context.Background(), NewMachine(), NewRand(11), pts, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, brep, err := Run2D(context.Background(), NewMachine(), NewRand(11), pts, RunConfig{Algorithm: AlgoPresorted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(as, *bs.Presorted) || !reflect.DeepEqual(arep, brep) {
-		t.Fatal("PresortedHullCtx differs from supervised Run2D")
-	}
-}
-
-func TestParityLogStarAndOptimal(t *testing.T) {
-	pts := prepSorted(workload.Disk(13, 700))
-	a, err := LogStarHull(NewMachine(), NewRand(5), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run2D(context.Background(), NewMachine(), NewRand(5), pts, RunConfig{Algorithm: AlgoLogStar, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, *b.Presorted) {
-		t.Fatal("LogStarHull differs from Run2D{AlgoLogStar, Direct}")
-	}
-	ao, err := OptimalHull(NewMachine(), NewRand(5), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bo, _, err := Run2D(context.Background(), NewMachine(), NewRand(5), pts, RunConfig{Algorithm: AlgoOptimal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ao, *bo.Optimal) {
-		t.Fatal("OptimalHull differs from Run2D{AlgoOptimal}")
-	}
-}
-
-func TestParityHull3D(t *testing.T) {
-	pts := workload.Ball(17, 250)
-	a, err := Hull3D(NewMachine(), NewRand(23), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run3D(context.Background(), NewMachine(), NewRand(23), pts, RunConfig{Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Hull3D differs from Run3D{Direct}")
-	}
-	as, arep, err := Hull3DCtx(context.Background(), NewMachine(), NewRand(23), pts, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, brep, err := Run3D(context.Background(), NewMachine(), NewRand(23), pts, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(as, bs) || !reflect.DeepEqual(arep, brep) {
-		t.Fatal("Hull3DCtx differs from supervised Run3D")
-	}
-}
-
-// ---- Counted-semantics equivalence: workers=1 vs the pooled engine ----
+// Counted-semantics equivalence: workers=1 vs the pooled engine.
 //
 // The persistent worker-pool engine (internal/pram/engine.go) may change
 // how a step's virtual processors are executed — persistent workers,

@@ -3,18 +3,11 @@ package inplacehull
 import (
 	"context"
 	"io"
-	"sort"
 
 	"inplacehull/internal/cull"
-	"inplacehull/internal/geom"
-	"inplacehull/internal/hullerr"
-	"inplacehull/internal/native"
+	"inplacehull/internal/engine"
 	"inplacehull/internal/obs"
 	"inplacehull/internal/pram"
-	"inplacehull/internal/presorted"
-	"inplacehull/internal/resilient"
-	"inplacehull/internal/shard"
-	"inplacehull/internal/unsorted"
 )
 
 // Observability layer (internal/obs), exposed through RunConfig.Observer.
@@ -180,28 +173,10 @@ type Run2DResult struct {
 	Optimal *OptimalReport
 }
 
-// direct runs fn with ctx attached to the machine and the supervisor's
-// panic boundary, without retries or ladder — the Direct path of Run.
-func direct[T any](ctx context.Context, m *Machine, op string, fn func() (T, error)) (out T, err error) {
-	m.SetContext(ctx)
-	defer m.SetContext(nil)
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := pram.AsCancellation(r); ok {
-				err = hullerr.FromContext(op, c.Cause)
-				return
-			}
-			panic(r)
-		}
-	}()
-	return fn()
-}
-
 // Run2D is the unified 2-d entry point: it runs the algorithm selected by
 // cfg on m, supervised by default (cancellation propagation, reseeded
 // retries, sequential degradation ladder), observed when cfg.Observer is
-// set. It subsumes the deprecated PresortedHull/LogStarHull/OptimalHull/
-// Hull2D*/‍*Ctx* matrix:
+// set:
 //
 //	res, rep, err := inplacehull.Run2D(ctx, m, rnd, pts, inplacehull.RunConfig{
 //	    Algorithm: inplacehull.AlgoHull2D,
@@ -221,153 +196,49 @@ func Run2D(ctx context.Context, m *Machine, rnd *Rand, pts []Point, cfg RunConfi
 		m.SetSink(cfg.Observer)
 		defer m.SetSink(prev)
 	}
-	if cfg.Backend == BackendNative {
-		return run2DNative(ctx, rnd, pts, cfg, m.Sink())
-	}
-	before := m.Snap()
-	switch cfg.Algorithm {
-	case AlgoPresorted:
-		if cfg.Direct {
-			r, err := direct(ctx, m, "Run2D/presorted", func() (PresortedResult, error) {
-				return presorted.ConstantTime(m, rnd, pts)
-			})
-			return presortedRun(r), directReport(m, before), err
-		}
-		r, rep, err := resilient.PresortedHull(ctx, m, rnd, pts, cfg.Policy)
-		return presortedRun(r), rep, err
-	case AlgoLogStar:
-		if cfg.Direct {
-			r, err := direct(ctx, m, "Run2D/logstar", func() (PresortedResult, error) {
-				return presorted.LogStar(m, rnd, pts)
-			})
-			return presortedRun(r), directReport(m, before), err
-		}
-		r, rep, err := resilient.LogStarHull(ctx, m, rnd, pts, cfg.Policy)
-		return presortedRun(r), rep, err
-	case AlgoOptimal:
-		r, err := direct(ctx, m, "Run2D/optimal", func() (OptimalReport, error) {
-			return presorted.Optimal(m, rnd, pts)
-		})
-		return Run2DResult{
-			Edges: r.Result.Edges, Chain: r.Result.Chain, EdgeOf: r.Result.EdgeOf,
-			Optimal: &r,
-		}, directReport(m, before), err
-	default: // AlgoHull2D
-		work, full := applyRootCull(cfg, rnd, pts)
-		if cfg.Direct {
-			r, err := direct(ctx, m, "Run2D/hull2d", func() (Hull2DResult, error) {
-				return unsorted.Hull2DOpts(m, rnd, work, cfg.Options2D)
-			})
-			rep := directReport(m, before)
-			if err != nil {
-				return unsortedRun(r), rep, err
-			}
-			return liftRootCull(unsortedRun(r), rep, full), rep, nil
-		}
-		r, rep, err := resilient.Hull2DOpts(ctx, m, rnd, work, cfg.Options2D, cfg.Policy)
-		if err != nil {
-			return unsortedRun(r), rep, err
-		}
-		return liftRootCull(unsortedRun(r), rep, full), rep, nil
-	}
+	return run2D(ctx, cfg.plan(cfg.Backend, rnd, m, m.Sink()), pts)
+}
+
+// run2D runs a resolved plan over pts, filter step included.
+func run2D(ctx context.Context, p engine.Plan, pts []Point) (Run2DResult, RunReport, error) {
+	in, _ := p.Filter2(pts)
+	r, rep, err := p.Run2D(ctx, in)
+	return Run2DResult(r), rep, err
 }
 
 // Run3D is the unified 3-d entry point (the §4.3 algorithm; see Run2D for
 // the supervision, observation and backend semantics — an explicit
 // *Machine pins the counted backend unless cfg.Backend says otherwise).
-// It subsumes the deprecated Hull3D/Hull3DWithOptions/Hull3DCtx/
-// Hull3DCtxOptions variants. The result's cap-facet contract is
-// documented on Hull3DResult.
+// The result's cap-facet contract is documented on Hull3DResult.
 func Run3D(ctx context.Context, m *Machine, rnd *Rand, pts []Point3, cfg RunConfig) (Hull3DResult, RunReport, error) {
 	if cfg.Observer != nil {
 		prev := m.Sink()
 		m.SetSink(cfg.Observer)
 		defer m.SetSink(prev)
 	}
-	if cfg.Backend == BackendNative {
-		return run3DNative(ctx, rnd, pts, cfg, m.Sink())
-	}
-	before := m.Snap()
-	if cfg.Direct {
-		r, err := direct(ctx, m, "Run3D", func() (Hull3DResult, error) {
-			return unsorted.Hull3DOpts(m, rnd, pts, cfg.Options3D)
-		})
-		return r, directReport(m, before), err
-	}
-	return resilient.Hull3DOpts(ctx, m, rnd, pts, cfg.Options3D, cfg.Policy)
+	// RunConfig.Cull filters 2-d runs only.
+	return cfg.plan(cfg.Backend, rnd, m, m.Sink()).Run3D(ctx, engine.Input3D{Full: pts, Work: pts})
 }
 
-// cullSplit derives the coarse filter's sampling seed from the caller's
-// Rand without disturbing the values the hull run draws — a Split off
-// the main stream, the nativeSeed pattern.
-const cullSplit = 0xC011
+// Seed splits: the native backend's seed and the coarse filter's sample
+// seed derive from the caller's Rand without disturbing the values the
+// counted path draws — Splits, not draws on the main stream.
+const (
+	nativeSeedSplit = 0x4A71
+	cullSplit       = 0xC011
+)
 
-func cullSeed(rnd *Rand) uint64 {
-	if rnd == nil {
-		return 0
+// plan builds the engine's execution plan for cfg on the resolved backend
+// (BackendAuto there runs counted). CullAuto leaves the filter off.
+func (cfg RunConfig) plan(backend Backend, rnd *Rand, m *Machine, sink pram.Sink) engine.Plan {
+	p := engine.Plan{
+		Backend: backend, Algo: engine.Algo(cfg.Algorithm), Cull: cfg.Cull,
+		Sink: sink, Machine: m, Rand: rnd, Direct: cfg.Direct, Policy: cfg.Policy,
+		Options2D: cfg.Options2D, Options3D: cfg.Options3D,
 	}
-	return rnd.Split(cullSplit).Uint64()
-}
-
-// applyRootCull runs the RunConfig.Cull admission filter for an
-// AlgoHull2D run: it returns the working point set and, when anything
-// was discarded, the original input (nil otherwise — the run then
-// behaves bit-identically to an unculled one). Non-finite points are
-// never culled, so a bad input still fails typed downstream.
-func applyRootCull(cfg RunConfig, rnd *Rand, pts []Point) (work, full []Point) {
-	if cfg.Algorithm != AlgoHull2D || cfg.Cull == CullAuto || cfg.Cull == CullOff {
-		return pts, nil
+	if rnd != nil {
+		p.Seed = rnd.Split(nativeSeedSplit).Uint64()
+		p.CullSeed = rnd.Split(cullSplit).Uint64()
 	}
-	survivors := cull.Points2(cfg.Cull, cullSeed(rnd), pts)
-	if len(survivors) == len(pts) {
-		return pts, nil
-	}
-	return survivors, pts
-}
-
-// liftRootCull maps a culled run's answer back onto the full input:
-// counted exact-tier chains are canonicalized (the §4.1 counted path may
-// subdivide collinear hull edges, and which subdivisions appear depends
-// on the input subset), EdgeOf re-covers every submitted point with the
-// left-incident rule, and the algorithm record mirrors the lifted
-// fields. Approximate-tier chains pass through: their certified ε
-// transfers to the full set — every discarded point lies strictly below
-// the true upper hull, whose vertices are survivors the certificate
-// measured.
-func liftRootCull(res Run2DResult, rep RunReport, full []Point) Run2DResult {
-	if full == nil {
-		return res
-	}
-	if rep.Backend() == BackendCounted && rep.Tier != TierApproximate {
-		sorted := append([]Point(nil), full...)
-		sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
-		res.Chain = shard.Canonical(sorted, res.Chain)
-		res.Edges = nil
-		for i := 1; i < len(res.Chain); i++ {
-			res.Edges = append(res.Edges, Edge{U: res.Chain[i-1], W: res.Chain[i]})
-		}
-	}
-	res.EdgeOf = native.Locate(full, res.Edges)
-	if res.Unsorted != nil {
-		u := *res.Unsorted
-		u.Chain, u.Edges, u.EdgeOf = res.Chain, res.Edges, res.EdgeOf
-		res.Unsorted = &u
-	}
-	return res
-}
-
-// directReport synthesizes the supervisor report of a Direct run: one
-// attempt at the randomized tier, costs from the machine delta.
-func directReport(m *Machine, before pram.Snapshot) RunReport {
-	d := m.Delta(before)
-	return RunReport{Attempts: 1, Tier: TierRandomized, TotalSteps: d.Time, TotalWork: d.Work,
-		ExecBackend: resilient.BackendCounted}
-}
-
-func presortedRun(r PresortedResult) Run2DResult {
-	return Run2DResult{Edges: r.Edges, Chain: r.Chain, EdgeOf: r.EdgeOf, Presorted: &r}
-}
-
-func unsortedRun(r Hull2DResult) Run2DResult {
-	return Run2DResult{Edges: r.Edges, Chain: r.Chain, EdgeOf: r.EdgeOf, Unsorted: &r}
+	return p
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"inplacehull/internal/engine"
-	"inplacehull/internal/pram"
 	"inplacehull/internal/resilient"
 )
 
@@ -27,53 +26,6 @@ const (
 	BackendNative = resilient.BackendNative
 )
 
-// nativeSeedSplit derives the native engine's seed stream from the
-// caller's Rand without disturbing the values the counted path would
-// draw — a Split, not a Uint64 on the main stream.
-const nativeSeedSplit = 0x4A71
-
-func nativeSeed(rnd *Rand) uint64 {
-	if rnd == nil {
-		return 0
-	}
-	return rnd.Split(nativeSeedSplit).Uint64()
-}
-
-// run2DNative executes a Run2D call on the native backend: the engine
-// seam replaces the machine, which only anchored the observer (sink).
-func run2DNative(ctx context.Context, rnd *Rand, pts []Point, cfg RunConfig, sink pram.Sink) (Run2DResult, RunReport, error) {
-	eng := engine.Native(nativeSeed(rnd), sink)
-	switch cfg.Algorithm {
-	case AlgoPresorted:
-		r, rep, err := eng.Presorted(ctx, pts, cfg.Policy)
-		return presortedRun(r), rep, err
-	case AlgoLogStar:
-		r, rep, err := eng.LogStar(ctx, pts, cfg.Policy)
-		return presortedRun(r), rep, err
-	case AlgoOptimal:
-		r, rep, err := eng.Optimal(ctx, pts)
-		return Run2DResult{
-			Edges: r.Result.Edges, Chain: r.Result.Chain, EdgeOf: r.Result.EdgeOf,
-			Optimal: &r,
-		}, rep, err
-	default: // AlgoHull2D
-		work, full := applyRootCull(cfg, rnd, pts)
-		r, rep, err := eng.Hull2D(ctx, work, cfg.Options2D, cfg.Policy)
-		if err != nil {
-			return unsortedRun(r), rep, err
-		}
-		// Native chains are already canonical; the lift only re-covers
-		// EdgeOf over the full input.
-		return liftRootCull(unsortedRun(r), rep, full), rep, err
-	}
-}
-
-// run3DNative is run2DNative's 3-d counterpart.
-func run3DNative(ctx context.Context, rnd *Rand, pts []Point3, cfg RunConfig, sink pram.Sink) (Hull3DResult, RunReport, error) {
-	eng := engine.Native(nativeSeed(rnd), sink)
-	return eng.Hull3D(ctx, pts, cfg.Options3D, cfg.Policy)
-}
-
 // RunAuto2D is Run2D without the machine: the entry point for callers
 // that want the hull, not a measurement. BackendAuto resolves to
 // BackendNative here — the run executes at host speed with no step
@@ -91,11 +43,7 @@ func RunAuto2D(ctx context.Context, rnd *Rand, pts []Point, cfg RunConfig) (Run2
 		defer m.Close()
 		return Run2D(ctx, m, rnd, pts, cfg)
 	}
-	var sink pram.Sink
-	if cfg.Observer != nil {
-		sink = cfg.Observer
-	}
-	return run2DNative(ctx, rnd, pts, cfg, sink)
+	return run2D(ctx, cfg.plan(BackendNative, rnd, nil, cfg.Observer), pts)
 }
 
 // RunAuto3D is Run3D without the machine (see RunAuto2D for the backend
@@ -106,9 +54,5 @@ func RunAuto3D(ctx context.Context, rnd *Rand, pts []Point3, cfg RunConfig) (Hul
 		defer m.Close()
 		return Run3D(ctx, m, rnd, pts, cfg)
 	}
-	var sink pram.Sink
-	if cfg.Observer != nil {
-		sink = cfg.Observer
-	}
-	return run3DNative(ctx, rnd, pts, cfg, sink)
+	return cfg.plan(BackendNative, rnd, nil, cfg.Observer).Run3D(ctx, engine.Input3D{Full: pts, Work: pts})
 }
