@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -241,8 +242,15 @@ func (s *Server) serveScatter(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	bp, err := readBody(w, req)
+	if err != nil {
+		writeBodyErr(w, req, err)
+		return
+	}
 	var wr shard.WireRequest
-	if err := json.NewDecoder(req.Body).Decode(&wr); err != nil {
+	err = json.NewDecoder(bytes.NewReader(*bp)).Decode(&wr)
+	putBuf(bp) // the decoded request holds no reference to the body
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(),
 			Kind: "invalid input", RequestID: shard.RequestIDFrom(req.Context())})
 		return

@@ -20,12 +20,12 @@ import (
 // /v1/datasets/{name}, POST …/append|/delete) and of the 2-d chain in
 // hull answers. A request body is read once into a pooled buffer; a
 // single-pass scanner then parses the common shape — exact-case known
-// keys, plain strings, JSON numbers, points of the right arity — straight
-// into pre-sized geom slices. Anything else (escapes, other key casing,
-// null, unknown keys, out-of-range numbers, malformed input, anything
-// that would be rejected) is decoded again from the same bytes by
-// encoding/json, which stays the definition of the accept set and of
-// every error message. The scanner only ever answers "accepted, with
+// keys, plain strings, JSON numbers (converted as they are scanned,
+// atof.go), points of the right arity — straight into pre-sized geom
+// slices. Anything else (escapes, other key casing, null, unknown keys,
+// out-of-range numbers, malformed input, anything that would be
+// rejected) is decoded again from the same bytes by encoding/json, which
+// stays the definition of the accept set and of every error message. The scanner only ever answers "accepted, with
 // these values" or "not mine"; FuzzHTTPQuery checks it against the
 // reflective decoder.
 
@@ -249,8 +249,9 @@ func scanPoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, bool) 
 // false for input outside the fast subset, which sends the body to
 // encoding/json.
 type scanner struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	pow *pow10Table // loaded on the first number that needs it
 }
 
 func (s *scanner) ws() {
@@ -324,80 +325,55 @@ func (s *scanner) str() (string, bool) {
 	return string(v), ok
 }
 
-// num scans a number of the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its bytes.
-func (s *scanner) num() ([]byte, bool) {
-	s.ws()
-	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return nil, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return nil, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			return nil, false
-		}
-		i = j
-	}
-	v := b[s.i:i]
-	s.i = i
-	return v, true
-}
-
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// The value parsers use the strconv calls encoding/json makes for the
-// same Go types, and refuse where it would fail (out of range, a
-// fraction for an integer).
+// float, int and uint read a number in one pass (scanner.number). int
+// and uint take a plain number of at most 19 digits straight from the
+// scan; anything else goes to the strconv call encoding/json makes for
+// the Go type, on the same bytes, and is refused where that fails (out
+// of range, a fraction for an integer).
 
 func (s *scanner) float() (float64, bool) {
-	t, ok := s.num()
+	s.ws()
+	t := s.i
+	d, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(t), 64)
+	if f, ok := d.float64(&s.pow); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(s.b[t:s.i]), 64)
 	return f, err == nil
 }
 
 func (s *scanner) int() (int, bool) {
-	t, ok := s.num()
+	s.ws()
+	t := s.i
+	d, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(t), 10, 64)
+	if d.plain && d.exp == 0 && d.mant <= math.MaxInt {
+		n := int(d.mant)
+		if d.neg {
+			n = -n
+		}
+		return n, true
+	}
+	n, err := strconv.ParseInt(string(s.b[t:s.i]), 10, 64)
 	return int(n), err == nil && int64(int(n)) == n
 }
 
 func (s *scanner) uint() (uint64, bool) {
-	t, ok := s.num()
+	s.ws()
+	t := s.i
+	d, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(string(t), 10, 64)
+	if d.plain && d.exp == 0 && !d.neg {
+		return d.mant, true
+	}
+	n, err := strconv.ParseUint(string(s.b[t:s.i]), 10, 64)
 	return n, err == nil
 }
 

@@ -344,9 +344,9 @@ func TestWireErrorsHTTP(t *testing.T) {
 }
 
 // TestBodyCap: a body over maxBodyBytes is refused 413 with a typed
-// invalid-input error carrying the request ID, on the hull and stream
-// endpoints, whether its length is declared or not; a body of exactly
-// maxBodyBytes is served.
+// invalid-input error carrying the request ID, on the hull, stream and
+// scatter endpoints, whether its length is declared or not; a body of
+// exactly maxBodyBytes is served.
 func TestBodyCap(t *testing.T) {
 	h := small(t, Config{Streams: stream.NewStore(stream.Config{})}).Handler()
 	do := func(method, path string, body []byte, declared bool) (int, httpError) {
@@ -375,6 +375,7 @@ func TestBodyCap(t *testing.T) {
 	}
 	for _, ep := range []struct{ method, path string }{
 		{"POST", "/v1/hull2d"}, {"PUT", "/v1/datasets/big"}, {"POST", "/v1/datasets/live/append"},
+		{"POST", "/v1/scatter2d"},
 	} {
 		for _, declared := range []bool{true, false} {
 			if code, e := do(ep.method, ep.path, fits, declared); code != http.StatusOK {
