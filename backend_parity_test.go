@@ -6,9 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"inplacehull/internal/chain"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
-	"inplacehull/internal/shard"
 	"inplacehull/internal/unsorted"
 	"inplacehull/internal/workload"
 )
@@ -18,7 +18,7 @@ import (
 // canonical form (hull2d.UpperHull) for every algorithm. The counted
 // engine's chains reach the same canonical form through the two repairs
 // its contract permits (collinear hull edges may arrive subdivided, an
-// extreme vertical column as a vertex cap — shard.Canonical is exactly
+// extreme vertical column as a vertex cap — chain.Canonical is exactly
 // that repair), and on inputs free of those degeneracies the two engines'
 // chains are literally bit-identical. EdgeOf agrees everywhere except at
 // chain-vertex abscissas, where two edges meet and either incident edge
@@ -67,7 +67,7 @@ func edgeOfCompatible(edges []Edge, x float64, a, b int) bool {
 // oracle hull2d.UpperHull, the counted chain canonicalizes (collinear
 // subdivision removed, extreme vertical columns repaired — the two
 // deviations its contract permits, see unsorted.CheckAgainstReference and
-// shard.Canonical) to exactly that chain, and wherever the counted chain
+// chain.Canonical) to exactly that chain, and wherever the counted chain
 // is already canonical the edge lists and EdgeOf assignments compare
 // strictly.
 func assertParity2D(t *testing.T, pts []Point, counted, native Run2DResult) {
@@ -84,7 +84,7 @@ func assertParity2D(t *testing.T, pts []Point, counted, native Run2DResult) {
 	if len(pts) > 0 {
 		sorted := append([]Point(nil), pts...)
 		sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
-		if !eqPts(shard.Canonical(sorted, counted.Chain), canon) {
+		if !eqPts(chain.Canonical(sorted, counted.Chain), canon) {
 			t.Fatalf("counted chain does not canonicalize to the native chain:\ncounted %v\nnative  %v",
 				counted.Chain, native.Chain)
 		}

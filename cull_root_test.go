@@ -6,10 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"inplacehull/internal/chain"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/rng"
-	"inplacehull/internal/shard"
 	"inplacehull/internal/workload"
 )
 
@@ -104,8 +104,8 @@ func assertCanonicalParity(t *testing.T, label string, base, got Run2DResult, pt
 	t.Helper()
 	sorted := append([]Point(nil), pts...)
 	sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
-	want := shard.Canonical(sorted, base.Chain)
-	have := shard.Canonical(sorted, got.Chain)
+	want := chain.Canonical(sorted, base.Chain)
+	have := chain.Canonical(sorted, got.Chain)
 	samePoints(t, label+" canonical chain", want, have)
 	// Edges must pair the chain's consecutive vertices.
 	if len(got.Edges) != max(0, len(got.Chain)-1) {

@@ -163,33 +163,12 @@ func stripMaxima(pts []geom.Point, k int, xmin, xmax float64, o *geom.NoisyOracl
 // edgesFor assembles the Result2D edge structure for a chain: consecutive
 // chain edges plus the covering-edge pointer per input point.
 func edgesFor(pts, chain []geom.Point) ([]geom.Edge, []int) {
-	edges := make([]geom.Edge, 0, len(chain))
-	for i := 1; i < len(chain); i++ {
-		edges = append(edges, geom.Edge{U: chain[i-1], W: chain[i]})
-	}
+	edges := geom.ChainEdges(chain)
 	edgeOf := make([]int, len(pts))
 	for i, p := range pts {
-		edgeOf[i] = coveringEdge(edges, p.X)
+		edgeOf[i] = geom.CoveringEdge(edges, p.X)
 	}
 	return edges, edgeOf
-}
-
-// coveringEdge returns the index of the x-sorted edge whose span covers x,
-// or −1.
-func coveringEdge(list []geom.Edge, x float64) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid].W.X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].Covers(x) {
-		return lo
-	}
-	return -1
 }
 
 // measure2D computes the certificate: the maximum vertical distance of

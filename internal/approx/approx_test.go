@@ -54,7 +54,7 @@ func assertHausdorff(t *testing.T, pts []geom.Point, res Result2D) {
 	}
 	slack := 1e-9 * scale
 	for _, v := range exact {
-		ei := coveringEdge(res.Edges, v.X)
+		ei := geom.CoveringEdge(res.Edges, v.X)
 		var below float64
 		switch {
 		case ei >= 0:

@@ -45,19 +45,24 @@ const (
 //   - Dispatch. The counted supervisor (or one Direct attempt) on
 //     Machine, or the guarded native call: a panic becomes a typed
 //     Internal error, a dead context a typed context error.
-//   - Lift. A culled answer covers the full input. Counted exact-tier
-//     chains are canonicalised (chain.Canonical), because the counted §4.1
-//     path may subdivide collinear hull edges and which subdivisions
-//     appear depends on the input subset. EdgeOf is re-located over the
-//     full input with the left-incident covering rule. Culled native 3-d
-//     builds from the survivors and assigns caps over the full input
-//     (native.Hull3DFrom). Approximate-tier chains pass through: their
+//   - Hull (Hull2D, the whole 2-d answer served queries need). A culled
+//     answer covers the full input. Counted exact-tier chains are
+//     canonicalised (chain.Canonical), because the counted §4.1 path may
+//     subdivide collinear hull edges and which subdivisions appear depends
+//     on the input subset. Approximate-tier chains pass through: their
 //     certified ε transfers to the full set, since every discarded point
 //     lies strictly below the true upper hull, whose vertices are
-//     survivors the certificate measured.
+//     survivors the certificate measured. Culled native 3-d builds from
+//     the survivors and assigns caps over the full input
+//     (native.Hull3DFrom).
+//   - Lift (Run2D only). Every native run and every culled counted run
+//     locates each point of the full input once, with the left-incident
+//     covering rule; an unculled counted run keeps its algorithm's own
+//     EdgeOf.
 //
-// Nothing is lifted when nothing was culled, so an unculled run is
-// bit-identical to the bare backend call.
+// An unculled counted run is bit-identical to the bare backend call, and
+// an unculled native run to the native.Upper2D/Presorted answer with
+// EdgeOf located over its input.
 type Plan struct {
 	// Backend is BackendNative or BackendCounted; any value other than
 	// BackendNative runs counted.
@@ -156,36 +161,62 @@ func (p Plan) Filter3(pts []geom.Point3) (Input3D, bool) {
 	return in, true
 }
 
-// Run2D dispatches the 2-d algorithm on in.Work and lifts the answer onto
-// in.Full when anything was culled.
-func (p Plan) Run2D(ctx context.Context, in Input2D) (Result2D, resilient.Report, error) {
-	var (
-		res Result2D
-		rep resilient.Report
-		err error
-	)
+// Hull2D is the hull step: it dispatches the 2-d algorithm on in.Work
+// and returns the upper chain of in.Full, canonicalised when a counted
+// exact-tier run was culled. No point is located, so this is the whole
+// answer for callers that serve hulls.
+func (p Plan) Hull2D(ctx context.Context, in Input2D) ([]geom.Point, resilient.Report, error) {
+	res, rep, err := p.hull2(ctx, in)
+	return res.Chain, rep, err
+}
+
+// hull2 is Hull2D keeping the algorithm record for Run2D. A native record
+// holds the chain only; a counted one is the algorithm's own answer, with
+// Edges dropped when the chain was canonicalised.
+func (p Plan) hull2(ctx context.Context, in Input2D) (Result2D, resilient.Report, error) {
 	if p.native() {
-		res, rep, err = p.native2(ctx, in.Work)
-	} else {
-		res, rep, err = p.counted2(ctx, in.Work)
+		return p.native2(ctx, in.Work)
 	}
-	if err != nil || in.Culled() == 0 {
+	res, rep, err := p.counted2(ctx, in.Work)
+	if err != nil || in.Culled() == 0 || rep.Tier == resilient.TierApproximate {
 		return res, rep, err
 	}
-	if !p.native() && rep.Tier != resilient.TierApproximate {
-		sorted := append([]geom.Point(nil), in.Full...)
-		sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
-		res.Chain = chain.Canonical(sorted, res.Chain)
-		res.Edges = nil
-		for i := 1; i < len(res.Chain); i++ {
-			res.Edges = append(res.Edges, geom.Edge{U: res.Chain[i-1], W: res.Chain[i]})
-		}
+	sorted := append([]geom.Point(nil), in.Full...)
+	sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
+	res.Chain, res.Edges = chain.Canonical(sorted, res.Chain), nil
+	return res, rep, nil
+}
+
+// Run2D is the hull step followed by the lift: a native or culled run
+// locates every point of in.Full (under a native-locate span on a native
+// run), and the algorithm record is patched to match. An unculled
+// counted run keeps its algorithm's own EdgeOf.
+func (p Plan) Run2D(ctx context.Context, in Input2D) (Result2D, resilient.Report, error) {
+	res, rep, err := p.hull2(ctx, in)
+	if err != nil || (!p.native() && in.Culled() == 0) {
+		return res, rep, err
 	}
-	res.EdgeOf = native.Locate(in.Full, res.Edges)
-	if res.Unsorted != nil {
+	if res.Edges == nil {
+		res.Edges = geom.ChainEdges(res.Chain)
+	}
+	var obs pram.Sink
+	if p.native() {
+		obs = p.Sink
+	}
+	res.EdgeOf = native.LocateObserved(in.Full, res.Edges, obs)
+	switch {
+	case res.Unsorted != nil:
 		u := *res.Unsorted
 		u.Chain, u.Edges, u.EdgeOf = res.Chain, res.Edges, res.EdgeOf
 		res.Unsorted = &u
+	case res.Presorted != nil:
+		r := *res.Presorted
+		r.Chain, r.Edges, r.EdgeOf = res.Chain, res.Edges, res.EdgeOf
+		res.Presorted = &r
+	case res.Optimal != nil:
+		o := *res.Optimal
+		o.Result.Chain, o.Result.Edges, o.Result.EdgeOf = res.Chain, res.Edges, res.EdgeOf
+		res.Optimal = &o
 	}
 	return res, rep, nil
 }
@@ -210,18 +241,20 @@ func (p Plan) Run3D(ctx context.Context, in Input3D) (unsorted.Result3D, resilie
 	return resilient.Hull3DOpts(ctx, m, p.Rand, in.Work, p.Options3D, p.Policy)
 }
 
-// native2 is the guarded native dispatch of a 2-d algorithm.
+// native2 is the guarded native dispatch of a 2-d algorithm: the chain,
+// and a record holding only the chain.
 func (p Plan) native2(ctx context.Context, pts []geom.Point) (Result2D, resilient.Report, error) {
 	switch p.Algo {
 	case AlgoHull2D:
-		r, rep, err := Native(p.Seed, p.Sink).Hull2D(ctx, pts, p.Options2D, p.Policy)
-		return unsortedResult(r), rep, err
-	case AlgoOptimal:
-		r, rep, err := run(ctx, "engine.Native.Optimal", func() (presorted.OptimalReport, error) {
-			r, err := native.Presorted(pts, p.Sink)
-			return presorted.OptimalReport{Result: r}, err
+		c, rep, err := run(ctx, "engine.Native.Hull2D", func() ([]geom.Point, error) {
+			return native.Chain2D(pts, p.Sink)
 		})
-		return optimalResult(r), rep, err
+		return unsortedResult(unsorted.Result2D{Chain: c}), rep, err
+	case AlgoOptimal:
+		c, rep, err := run(ctx, "engine.Native.Optimal", func() ([]geom.Point, error) {
+			return native.Presorted(pts, p.Sink)
+		})
+		return optimalResult(presorted.OptimalReport{Result: presorted.Result{Chain: c}}), rep, err
 	default:
 		// The §2.2 and §2.5 algorithms differ only in how they spend PRAM
 		// resources; their canonical outputs coincide, so the native
@@ -230,10 +263,10 @@ func (p Plan) native2(ctx context.Context, pts []geom.Point) (Result2D, resilien
 		if p.Algo == AlgoLogStar {
 			op = "engine.Native.LogStar"
 		}
-		r, rep, err := run(ctx, op, func() (presorted.Result, error) {
+		c, rep, err := run(ctx, op, func() ([]geom.Point, error) {
 			return native.Presorted(pts, p.Sink)
 		})
-		return presortedResult(r), rep, err
+		return presortedResult(presorted.Result{Chain: c}), rep, err
 	}
 }
 

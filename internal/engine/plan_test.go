@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"inplacehull/internal/chain"
 	"inplacehull/internal/cull"
 	"inplacehull/internal/engine"
 	"inplacehull/internal/geom"
@@ -16,7 +17,6 @@ import (
 	"inplacehull/internal/pram"
 	"inplacehull/internal/resilient"
 	"inplacehull/internal/rng"
-	"inplacehull/internal/shard"
 	"inplacehull/internal/unsorted"
 	"inplacehull/internal/workload"
 )
@@ -132,7 +132,7 @@ func TestPlan2D(t *testing.T) {
 							return
 						}
 						lifted++
-						if want := shard.Canonical(sorted, base.Chain); !reflect.DeepEqual(res.Chain, want) {
+						if want := chain.Canonical(sorted, base.Chain); !reflect.DeepEqual(res.Chain, want) {
 							t.Fatalf("culled counted chain %v, want canonical %v", res.Chain, want)
 						}
 						if !reflect.DeepEqual(res.Unsorted.Chain, res.Chain) || !reflect.DeepEqual(res.Unsorted.EdgeOf, res.EdgeOf) {

@@ -95,6 +95,38 @@ func (e Edge) Line() Line { return LineThrough(e.U, e.W) }
 // line, evaluated robustly.
 func (e Edge) AboveAt(p Point) bool { return Orientation(e.U, e.W, p) > 0 }
 
+// ChainEdges returns the consecutive edges of an x-increasing hull chain;
+// nil when the chain has fewer than two vertices.
+func ChainEdges(chain []Point) []Edge {
+	if len(chain) < 2 {
+		return nil
+	}
+	edges := make([]Edge, len(chain)-1)
+	for i := range edges {
+		edges[i] = Edge{U: chain[i], W: chain[i+1]}
+	}
+	return edges
+}
+
+// CoveringEdge is the left-incident covering rule over x-sorted edges:
+// the index of the first edge with W.X ≥ x when its span covers x, else
+// −1. At a chain vertex shared by two edges it picks the left one.
+func CoveringEdge(edges []Edge, x float64) int {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if edges[mid].W.X < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(edges) && edges[lo].Covers(x) {
+		return lo
+	}
+	return -1
+}
+
 // Face is an upper-hull facet in 3-d: the triangle (A, B, C) oriented so its
 // outward normal has positive z-component.
 type Face struct {

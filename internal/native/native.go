@@ -7,15 +7,19 @@
 // binary-forking token pool (internal/fork).
 //
 // The output contract is deliberately the counted backend's canonical
-// form. In 2-d the vertex chain and edge list are bit-identical to
+// form. In 2-d the hull is the vertex chain, bit-identical to
 // hull2d.UpperHull (the library-wide oracle the counted algorithms also
-// canonicalize to); EdgeOf assigns each point the first edge whose x-span
-// covers it — the same left-incident rule the resilient ladder uses, which
-// can differ from a counted run only at chain-vertex abscissas where two
-// edges meet (the parity suite in the root package pins exactly this
-// tolerance). In 3-d the cap structure comes from the sequential
-// incremental hull, checked against the CheckCaps3D oracle before it is
-// returned — the same recipe as the supervisor's sequential rung.
+// canonicalize to). Chain2D and Presorted compute only that chain; the
+// counted algorithms' per-point EdgeOf is a separate step, Locate, which
+// assigns each point the first edge whose x-span covers it — the
+// left-incident rule of geom.CoveringEdge, which can differ from a
+// counted run only at chain-vertex abscissas where two edges meet (the
+// parity suite in the root package pins exactly this tolerance). Only
+// callers that return EdgeOf run it: Upper2D, and the engine's lift for
+// the root Run2D answers. In 3-d the cap structure comes from the
+// sequential incremental hull, checked against the CheckCaps3D oracle
+// before it is returned — the same recipe as the supervisor's sequential
+// rung.
 //
 // Observability: callers may pass a pram.Sink. The native path has no
 // counted work to report, so it emits wall-time spans (native-sort,
@@ -31,7 +35,6 @@ import (
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/pram"
-	"inplacehull/internal/presorted"
 	"inplacehull/internal/unsorted"
 )
 
@@ -81,43 +84,26 @@ func soaOf(pts []geom.Point) soa {
 
 func (s soa) point(i int) geom.Point { return geom.Point{X: s.xs[i], Y: s.ys[i]} }
 
-// Upper2D computes the canonical strict upper hull of unsorted points:
-// sort, dedupe, divide-and-conquer monotone chain, point location. The
-// Chain/Edges output is bit-identical to hull2d.UpperHull; EdgeOf uses the
-// left-incident covering rule (see the package comment). obs may be nil.
+// Upper2D is Chain2D plus the edge list and a point location over pts
+// (Locate, under a native-locate span): the full Result2D contract of the
+// counted §4.1 algorithm. Chain and Edges are bit-identical to
+// hull2d.UpperHull; EdgeOf uses the left-incident covering rule (see the
+// package comment). obs may be nil.
 func Upper2D(pts []geom.Point, obs pram.Sink) (unsorted.Result2D, error) {
-	const op = "native.Upper2D"
-	if err := hullerr.CheckFinite2D(op, pts); err != nil {
+	chain, err := Chain2D(pts, obs)
+	if err != nil {
 		return unsorted.Result2D{}, err
 	}
-	o := sink{obs}
-	endSort := o.span("native-sort")
-	s := sortedUnique(pts)
-	o.charge(len(pts))
-	endSort()
-
-	endChain := o.span("native-chain")
-	chain := upperOfSorted(s)
-	o.charge(len(s.xs))
-	endChain()
-
-	res := unsorted.Result2D{Chain: chain}
-	for i := 1; i < len(chain); i++ {
-		res.Edges = append(res.Edges, geom.Edge{U: chain[i-1], W: chain[i]})
-	}
-	endLoc := o.span("native-locate")
-	res.EdgeOf = Locate(pts, res.Edges)
-	o.charge(len(pts))
-	endLoc()
-	return res, nil
+	edges := geom.ChainEdges(chain)
+	return unsorted.Result2D{Chain: chain, Edges: edges, EdgeOf: LocateObserved(pts, edges, obs)}, nil
 }
 
-// Chain2D computes only the canonical strict upper chain of unsorted
-// points — Upper2D without the edge list and point location. The
-// streaming subsystem's full-rebuild fallback uses it: a rebuild needs
-// the chain to splice into the maintained dataset, and derives edges and
-// EdgeOf lazily only when a query asks. Bit-identical to
-// hull2d.UpperHull. obs may be nil.
+// Chain2D computes the canonical strict upper chain of unsorted points:
+// sort, dedupe, divide-and-conquer monotone chain. It builds no edge list
+// and locates no point, so it is the whole native answer wherever only
+// the hull is wanted: served queries, shard workers and the streaming
+// subsystem's full-rebuild fallback. Bit-identical to hull2d.UpperHull.
+// obs may be nil.
 func Chain2D(pts []geom.Point, obs pram.Sink) ([]geom.Point, error) {
 	const op = "native.Chain2D"
 	if err := hullerr.CheckFinite2D(op, pts); err != nil {
@@ -136,17 +122,18 @@ func Chain2D(pts []geom.Point, obs pram.Sink) ([]geom.Point, error) {
 	return chain, nil
 }
 
-// Presorted computes the canonical upper hull of points already sorted by
-// strictly increasing x — the §2 input contract, enforced with the same
-// typed UnsortedInput error as the counted algorithms. obs may be nil.
-func Presorted(pts []geom.Point, obs pram.Sink) (presorted.Result, error) {
+// Presorted computes the canonical upper chain of points already sorted
+// by strictly increasing x — the §2 input contract, enforced with the
+// same typed UnsortedInput error as the counted algorithms. Like Chain2D
+// it locates no point. obs may be nil.
+func Presorted(pts []geom.Point, obs pram.Sink) ([]geom.Point, error) {
 	const op = "native.Presorted"
 	if err := hullerr.CheckFinite2D(op, pts); err != nil {
-		return presorted.Result{}, err
+		return nil, err
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i-1].X >= pts[i].X {
-			return presorted.Result{}, hullerr.New(hullerr.UnsortedInput, op,
+			return nil, hullerr.New(hullerr.UnsortedInput, op,
 				"input not strictly x-sorted at %d", i)
 		}
 	}
@@ -155,16 +142,7 @@ func Presorted(pts []geom.Point, obs pram.Sink) (presorted.Result, error) {
 	chain := upperOfSorted(soaOf(pts))
 	o.charge(len(pts))
 	endChain()
-
-	res := presorted.Result{Chain: chain}
-	for i := 1; i < len(chain); i++ {
-		res.Edges = append(res.Edges, geom.Edge{U: chain[i-1], W: chain[i]})
-	}
-	endLoc := o.span("native-locate")
-	res.EdgeOf = Locate(pts, res.Edges)
-	o.charge(len(pts))
-	endLoc()
-	return res, nil
+	return chain, nil
 }
 
 // sortedUnique returns the SoA view of pts sorted lexicographically with
@@ -300,35 +278,27 @@ func dedupeVerticalEnds(s soa, h []int) []int {
 }
 
 // Locate fills EdgeOf: for every input point (duplicates included, in
-// input order) the first edge whose x-span covers it, by parallel binary
-// search over the x-sorted edge list; −1 where no edge spans the abscissa
-// (empty, singleton, single-column inputs). Exported so the serve layer
-// can rebuild a full-input EdgeOf after admission-side culling shrank the
-// set the backend actually ran on.
+// input order) the index of its covering edge under the left-incident
+// rule (geom.CoveringEdge), by parallel binary search over the x-sorted
+// edge list; −1 where no edge spans the abscissa (empty, singleton,
+// single-column inputs).
 func Locate(pts []geom.Point, edges []geom.Edge) []int {
 	out := make([]int, len(pts))
 	fork.For(len(pts), locateGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = coveringEdge(edges, pts[i].X)
+			out[i] = geom.CoveringEdge(edges, pts[i].X)
 		}
 	})
 	return out
 }
 
-// coveringEdge is the left-incident covering rule: the first edge with
-// W.X ≥ x, if its span covers x.
-func coveringEdge(list []geom.Edge, x float64) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid].W.X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].Covers(x) {
-		return lo
-	}
-	return -1
+// LocateObserved is Locate under a native-locate span on obs, charging
+// one item per point. obs may be nil.
+func LocateObserved(pts []geom.Point, edges []geom.Edge, obs pram.Sink) []int {
+	o := sink{obs}
+	end := o.span("native-locate")
+	out := Locate(pts, edges)
+	o.charge(len(pts))
+	end()
+	return out
 }

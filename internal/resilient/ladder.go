@@ -35,32 +35,11 @@ func chargeSequential(m *pram.Machine, n int) {
 // point records the edge covering its abscissa (−1 when no edge spans it:
 // empty, singleton, or single-column inputs).
 func result2DFromChain(pts, chain []geom.Point) unsorted.Result2D {
-	res := unsorted.Result2D{Chain: chain, EdgeOf: make([]int, len(pts))}
-	for i := 1; i < len(chain); i++ {
-		res.Edges = append(res.Edges, geom.Edge{U: chain[i-1], W: chain[i]})
-	}
+	res := unsorted.Result2D{Chain: chain, Edges: geom.ChainEdges(chain), EdgeOf: make([]int, len(pts))}
 	for p := range pts {
-		res.EdgeOf[p] = coveringEdge(res.Edges, pts[p].X)
+		res.EdgeOf[p] = geom.CoveringEdge(res.Edges, pts[p].X)
 	}
 	return res
-}
-
-// coveringEdge returns the index of the edge whose x-span covers x, or −1
-// (the edges are x-sorted, so binary search applies).
-func coveringEdge(list []geom.Edge, x float64) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid].W.X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].Covers(x) {
-		return lo
-	}
-	return -1
 }
 
 // ladder2D runs the 2-d sequential rungs: Kirkpatrick–Seidel first (the

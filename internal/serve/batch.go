@@ -131,12 +131,7 @@ func (s *Server) runBatch(batch []*request) {
 			r.respond(Result{}, err)
 			continue
 		}
-		if s.cache != nil && !r.q.NoCache {
-			s.cache.put(r.key, res)
-			if r.stream {
-				s.indexStream(r.content, r.key)
-			}
-		}
+		s.remember(r, res)
 		s.count(&s.completed, "completed_total")
 		r.respond(res, nil)
 	}

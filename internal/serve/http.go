@@ -142,13 +142,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, ctx context.Context, err error) {
-	status := statusOf(err)
+// writeError builds every error body the front end sends, stamped with
+// the request's X-Request-ID; a 503 also tells the client when to retry.
+func writeError(w http.ResponseWriter, req *http.Request, status int, kind, msg string) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, httpError{Error: err.Error(), Kind: kindName(err),
-		RequestID: shard.RequestIDFrom(ctx)})
+	writeJSON(w, status, httpError{Error: msg, Kind: kind, RequestID: shard.RequestIDFrom(req.Context())})
+}
+
+// writeErr answers a typed error with its mapped status.
+func writeErr(w http.ResponseWriter, req *http.Request, err error) {
+	writeError(w, req, statusOf(err), kindName(err), err.Error())
+}
+
+// writeBadRequest answers a body or parameter the decoder rejected.
+func writeBadRequest(w http.ResponseWriter, req *http.Request, msg string) {
+	writeError(w, req, http.StatusBadRequest, "invalid input", msg)
 }
 
 // Handler returns the HTTP front end:
@@ -251,18 +261,17 @@ func (s *Server) serveScatter(w http.ResponseWriter, req *http.Request) {
 	err = json.NewDecoder(bytes.NewReader(*bp)).Decode(&wr)
 	putBuf(bp) // the decoded request holds no reference to the body
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(),
-			Kind: "invalid input", RequestID: shard.RequestIDFrom(req.Context())})
+		writeBadRequest(w, req, "bad JSON: "+err.Error())
 		return
 	}
 	sreq, err := shard.DecodeRequest(wr)
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	resp, err := s.Scatter2D(req.Context(), sreq)
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, shard.EncodeResponse(resp))
@@ -282,7 +291,7 @@ func (s *Server) serveHull(w http.ResponseWriter, req *http.Request, dim int) {
 	q, deadlineMS, err := decodeHullQuery(*bp, dim)
 	putBuf(bp)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
+		writeBadRequest(w, req, err.Error())
 		return
 	}
 
@@ -300,7 +309,7 @@ func (s *Server) serveHull(w http.ResponseWriter, req *http.Request, dim int) {
 	}
 	partial := err != nil && errors.Is(err, hullerr.ErrPartialHull)
 	if err != nil && !partial {
-		writeErr(w, ctx, err)
+		writeErr(w, req, err)
 		return
 	}
 	out := httpResult{

@@ -9,7 +9,6 @@ import (
 
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullhash"
-	"inplacehull/internal/shard"
 	"inplacehull/internal/stream"
 )
 
@@ -103,8 +102,7 @@ func parseCoords(coords [][]float64, dim int) ([]geom.Point, []geom.Point3, erro
 }
 
 func writeNotFound(w http.ResponseWriter, req *http.Request, name string) {
-	writeJSON(w, http.StatusNotFound, httpError{Error: "unknown dataset " + strconv.Quote(name),
-		Kind: "invalid input", RequestID: shard.RequestIDFrom(req.Context())})
+	writeError(w, req, http.StatusNotFound, "invalid input", "unknown dataset "+strconv.Quote(name))
 }
 
 // serveStreamRegister handles PUT /v1/datasets/{name}: register a
@@ -120,7 +118,7 @@ func (s *Server) serveStreamRegister(w http.ResponseWriter, req *http.Request) {
 	p2, p3, dim, err := decodePoints(*bp, 0)
 	putBuf(bp)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
+		writeBadRequest(w, req, err.Error())
 		return
 	}
 	var delta stream.Delta
@@ -130,7 +128,7 @@ func (s *Server) serveStreamRegister(w http.ResponseWriter, req *http.Request) {
 		_, delta, err = s.cfg.Streams.Register2(name, p2)
 	}
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wireDelta(delta))
@@ -168,7 +166,7 @@ func (s *Server) serveStreamMutate(w http.ResponseWriter, req *http.Request, del
 	p2, p3, _, err := decodePoints(*bp, sd.Dim())
 	putBuf(bp)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Kind: "invalid input"})
+		writeBadRequest(w, req, err.Error())
 		return
 	}
 	var delta stream.Delta
@@ -183,7 +181,7 @@ func (s *Server) serveStreamMutate(w http.ResponseWriter, req *http.Request, del
 		delta, err = sd.Append2(req.Context(), p2)
 	}
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, wireDelta(delta))
@@ -234,7 +232,7 @@ func (s *Server) serveStreamHull(w http.ResponseWriter, req *http.Request) {
 	if haveSince {
 		var err error
 		if since, err = strconv.ParseUint(q.Get("since"), 10, 64); err != nil {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: "bad since: " + err.Error(), Kind: "invalid input"})
+			writeBadRequest(w, req, "bad since: "+err.Error())
 			return
 		}
 	}
@@ -259,7 +257,7 @@ func (s *Server) serveStreamHull(w http.ResponseWriter, req *http.Request) {
 	}
 	state, err := hullState(sd, since, haveSince)
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, state)
@@ -281,14 +279,14 @@ func (s *Server) serveStreamWatch(w http.ResponseWriter, req *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, httpError{Error: "response writer cannot stream", Kind: "internal"})
+		writeError(w, req, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
 	sub := sd.Subscribe()
 	defer sub.Close()
 	state, err := hullState(sd, 0, false)
 	if err != nil {
-		writeErr(w, req.Context(), err)
+		writeErr(w, req, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -9,7 +9,6 @@ import (
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/hullhash"
-	"inplacehull/internal/native"
 	"inplacehull/internal/pram"
 	"inplacehull/internal/resilient"
 	"inplacehull/internal/stream"
@@ -93,30 +92,26 @@ type Query struct {
 	// value fails typed InvalidInput. The resolved policy is part of the
 	// cache key. Culling never changes an answer's hull — the filter
 	// discards only points certainly strictly interior — but when it
-	// discards anything the answer is reported in canonical form: the
+	// discards anything the chain is reported in canonical form: the
 	// counted backend's occasional collinear chain subdivisions are
-	// canonicalized away, and EdgeOf is rebuilt over the full input with
-	// the left-incident covering rule. Sorted-input algorithms
-	// (presorted/logstar) and counted 3-d queries skip the filter: the
-	// former so an unsorted input still fails typed, the latter because
-	// counted 3-d facet identities are not stable under input subsetting.
+	// canonicalized away. Sorted-input algorithms (presorted/logstar)
+	// and counted 3-d queries skip the filter: the former so an unsorted
+	// input still fails typed, the latter because counted 3-d facet
+	// identities are not stable under input subsetting.
 	Cull string
 }
 
-// Result is a hull answer. Slices may be shared with the cache and other
-// callers; treat them as immutable.
+// Result is a hull answer. It holds the hull only — the 2-d chain or the
+// 3-d facet count — and no per-point map: answers live in the result
+// cache, so their size stays O(h), not O(n). Slices may be shared with
+// the cache and other callers; treat them as immutable.
 type Result struct {
 	// N is the input size.
 	N int
-	// Chain, Edges, EdgeOf: the 2-d upper-hull answer (Query2D).
-	Chain  []geom.Point
-	Edges  []geom.Edge
-	EdgeOf []int
-	// Facets, FacetOf: the 3-d cap answer (Query3D). Facets is the facet
-	// count; FacetOf maps each point to its cap. FacetOf is int32 because
-	// cached answers hold it for their lifetime (see facetOf32).
-	Facets  int
-	FacetOf []int32
+	// Chain is the 2-d upper hull (Query2D).
+	Chain []geom.Point
+	// Facets is the 3-d cap count (Query3D).
+	Facets int
 	// Report is the supervisor's account (attempts, tier).
 	Report resilient.Report
 	// Cached reports whether the answer came from the result cache.
@@ -277,7 +272,7 @@ func (s *Server) Query2D(ctx context.Context, q Query) (Result, error) {
 	}
 	r.key = s.key(r, dsHash, haveDS)
 	if r.stream && q.Shards == 0 && q.Algo == AlgoHull2D && r.plan.Backend == resilient.BackendNative {
-		return s.streamPatched2(r, snap)
+		return s.servePatched(r, Result{N: len(snap.Points), Chain: snap.Chain})
 	}
 	if q.Shards != 0 {
 		return s.doScattered(ctx, r)
@@ -285,80 +280,28 @@ func (s *Server) Query2D(ctx context.Context, q Query) (Result, error) {
 	return s.do(r)
 }
 
-// streamPatched2 answers a default-shape query (AlgoHull2D, native
-// backend, unscattered) on a stream dataset directly from its maintained
-// chain: the chain IS the canonical native answer at this version (the
-// stream parity suite gates it bit-identical to hull2d.UpperHull), so
-// the query costs a cache lookup or one O(n) point-location pass — no
-// admission queue, no fleet checkout. Culling is irrelevant here: the
-// filter can never change the hull, and no backend runs to feel its
-// effective-n benefit.
-func (s *Server) streamPatched2(r *request, snap stream.Snapshot2) (Result, error) {
+// servePatched answers a default-shape query (native backend; in 2-d
+// also AlgoHull2D and unscattered) on a stream dataset directly from its
+// maintained hull, passed in as res: the snapshot's chain in 2-d, its cap
+// count in 3-d. Either IS the canonical native answer at this version
+// (the stream parity suites gate it), so the query costs a cache lookup
+// and nothing else — no admission queue, no fleet checkout, no point
+// location. Culling is irrelevant here: the filter can never change the
+// hull, and no backend runs to feel its effective-n benefit.
+func (s *Server) servePatched(r *request, res Result) (Result, error) {
 	start := time.Now()
-	if s.cache != nil && !r.q.NoCache {
-		if res, ok := s.cache.get(r.key); ok {
-			s.count(&s.cacheHits, "cache_hits_total")
-			res.Cached = true
-			res.Elapsed = time.Since(start)
-			s.cfg.Metrics.ServeTierAdd(res.Report.Tier.String())
-			return res, nil
-		}
-		s.count(&s.cacheMisses, "cache_misses_total")
+	if hit, ok := s.lookup(r, start); ok {
+		s.cfg.Metrics.ServeTierAdd(hit.Report.Tier.String())
+		return hit, nil
 	}
 	if err := r.ctx.Err(); err != nil {
 		s.count(&s.deadlineShed, "deadline_shed_total")
 		return Result{}, hullerr.FromContext(r.op, err)
 	}
-	chain := snap.Chain
-	var edges []geom.Edge
-	for i := 1; i < len(chain); i++ {
-		edges = append(edges, geom.Edge{U: chain[i-1], W: chain[i]})
-	}
-	res := Result{
-		N: len(snap.Points), Chain: chain, Edges: edges,
-		EdgeOf: native.Locate(snap.Points, edges),
-		Report: resilient.Report{Attempts: 1, Tier: resilient.TierRandomized,
-			ExecBackend: resilient.BackendNative},
-	}
+	res.Report = resilient.Report{Attempts: 1, Tier: resilient.TierRandomized,
+		ExecBackend: resilient.BackendNative}
 	s.count(&s.streamPatched, "stream_patched_total")
-	if s.cache != nil && !r.q.NoCache {
-		s.cache.put(r.key, res)
-		s.indexStream(r.content, r.key)
-	}
-	s.count(&s.completed, "completed_total")
-	res.Elapsed = time.Since(start)
-	s.cfg.Metrics.ServeTierAdd(res.Report.Tier.String())
-	return res, nil
-}
-
-// streamPatched3 is streamPatched2 for 3-d: the last committed cap
-// structure is the full native answer over the live set, served as-is.
-func (s *Server) streamPatched3(r *request, snap stream.Snapshot3) (Result, error) {
-	start := time.Now()
-	if s.cache != nil && !r.q.NoCache {
-		if res, ok := s.cache.get(r.key); ok {
-			s.count(&s.cacheHits, "cache_hits_total")
-			res.Cached = true
-			res.Elapsed = time.Since(start)
-			s.cfg.Metrics.ServeTierAdd(res.Report.Tier.String())
-			return res, nil
-		}
-		s.count(&s.cacheMisses, "cache_misses_total")
-	}
-	if err := r.ctx.Err(); err != nil {
-		s.count(&s.deadlineShed, "deadline_shed_total")
-		return Result{}, hullerr.FromContext(r.op, err)
-	}
-	res := Result{
-		N: len(snap.Points), Facets: len(snap.Res.Facets), FacetOf: snap.FacetOf32,
-		Report: resilient.Report{Attempts: 1, Tier: resilient.TierRandomized,
-			ExecBackend: resilient.BackendNative},
-	}
-	s.count(&s.streamPatched, "stream_patched_total")
-	if s.cache != nil && !r.q.NoCache {
-		s.cache.put(r.key, res)
-		s.indexStream(r.content, r.key)
-	}
+	s.remember(r, res)
 	s.count(&s.completed, "completed_total")
 	res.Elapsed = time.Since(start)
 	s.cfg.Metrics.ServeTierAdd(res.Report.Tier.String())
@@ -413,7 +356,7 @@ func (s *Server) Query3D(ctx context.Context, q Query) (Result, error) {
 	}
 	r.key = s.key(r, dsHash, haveDS)
 	if r.stream && r.plan.Backend == resilient.BackendNative {
-		return s.streamPatched3(r, snap)
+		return s.servePatched(r, Result{N: len(snap.Points), Facets: len(snap.Res.Facets)})
 	}
 	return s.do(r)
 }
@@ -452,15 +395,9 @@ func (s *Server) key(r *request, dsHash hullhash.Sum, haveDS bool) hullhash.Sum 
 // then block on the executor's response (or the caller's context).
 func (s *Server) do(r *request) (Result, error) {
 	start := time.Now()
-	if s.cache != nil && !r.q.NoCache {
-		if res, ok := s.cache.get(r.key); ok {
-			s.count(&s.cacheHits, "cache_hits_total")
-			res.Cached = true
-			res.Elapsed = time.Since(start)
-			s.cfg.Metrics.ServeTierAdd(res.Report.Tier.String())
-			return res, nil
-		}
-		s.count(&s.cacheMisses, "cache_misses_total")
+	if hit, ok := s.lookup(r, start); ok {
+		s.cfg.Metrics.ServeTierAdd(hit.Report.Tier.String())
+		return hit, nil
 	}
 	if err := r.ctx.Err(); err != nil {
 		s.count(&s.deadlineShed, "deadline_shed_total")
@@ -486,9 +423,40 @@ func (s *Server) do(r *request) (Result, error) {
 	}
 }
 
-// execute runs one admitted request through its plan. m is the batch's
-// machine checkout, nil when the batch holds no counted request; native
-// requests never touch it.
+// lookup is the cache preamble every query path shares: a hit is counted
+// and returned stamped Cached, with its lookup time as Elapsed; a miss is
+// counted. NoCache queries and a cacheless server touch neither counter.
+func (s *Server) lookup(r *request, start time.Time) (Result, bool) {
+	if s.cache == nil || r.q.NoCache {
+		return Result{}, false
+	}
+	res, ok := s.cache.get(r.key)
+	if !ok {
+		s.count(&s.cacheMisses, "cache_misses_total")
+		return Result{}, false
+	}
+	s.count(&s.cacheHits, "cache_hits_total")
+	res.Cached = true
+	res.Elapsed = time.Since(start)
+	return res, true
+}
+
+// remember is the cache fill every query path shares: the answer is
+// cached under the request key and, for a stream dataset, indexed under
+// the content it was computed over so a later commit evicts it.
+func (s *Server) remember(r *request, res Result) {
+	if s.cache == nil || r.q.NoCache {
+		return
+	}
+	s.cache.put(r.key, res)
+	if r.stream {
+		s.indexStream(r.content, r.key)
+	}
+}
+
+// execute runs one admitted request through its plan's hull step. m is
+// the batch's machine checkout, nil when the batch holds no counted
+// request; native requests never touch it.
 func (s *Server) execute(m *pram.Machine, r *request) (Result, error) {
 	p := r.plan
 	if p.Backend == resilient.BackendCounted {
@@ -499,25 +467,11 @@ func (s *Server) execute(m *pram.Machine, r *request) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{N: len(r.in3.Full), Culled: r.in3.Culled(), Facets: len(out.Facets),
-			FacetOf: facetOf32(out.FacetOf), Report: rep}, nil
+		return Result{N: len(r.in3.Full), Culled: r.in3.Culled(), Facets: len(out.Facets), Report: rep}, nil
 	}
-	out, rep, err := p.Run2D(r.ctx, r.in2)
+	chain, rep, err := p.Hull2D(r.ctx, r.in2)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{N: len(r.in2.Full), Culled: r.in2.Culled(), Chain: out.Chain, Edges: out.Edges,
-		EdgeOf: out.EdgeOf, Report: rep}, nil
-}
-
-// facetOf32 narrows a backend's cap assignment for a Result. Answers live
-// in the result cache, and at half the width of []int a full cache of 3-d
-// answers keeps the server's resident set near that of 2-d serving.
-// A facet index is below the input size, and no input holds 2^31 points.
-func facetOf32(facetOf []int) []int32 {
-	out := make([]int32, len(facetOf))
-	for i, f := range facetOf {
-		out[i] = int32(f)
-	}
-	return out
+	return Result{N: len(r.in2.Full), Culled: r.in2.Culled(), Chain: chain, Report: rep}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"inplacehull/internal/chain"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/hullhash"
@@ -27,14 +28,8 @@ func (s *Server) doScattered(ctx context.Context, r *request) (Result, error) {
 	if r.q.Algo != AlgoHull2D {
 		return Result{}, hullerr.New(hullerr.InvalidInput, op, "scattered queries support algorithm hull2d only, not %s", r.q.Algo)
 	}
-	if s.cache != nil && !r.q.NoCache {
-		if res, ok := s.cache.get(r.key); ok {
-			s.count(&s.cacheHits, "cache_hits_total")
-			res.Cached = true
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		s.count(&s.cacheMisses, "cache_misses_total")
+	if hit, ok := s.lookup(r, start); ok {
+		return hit, nil
 	}
 	k := r.q.Shards
 	if k < 0 {
@@ -64,11 +59,8 @@ func (s *Server) doScattered(ctx context.Context, r *request) (Result, error) {
 		Elapsed: time.Since(start),
 	}
 	s.count(&s.completed, "completed_total")
-	if err == nil && s.cache != nil && !r.q.NoCache {
-		s.cache.put(r.key, res)
-		if r.stream {
-			s.indexStream(r.content, r.key)
-		}
+	if err == nil {
+		s.remember(r, res)
 	}
 	// A partial answer returns BOTH the covered hull and the typed
 	// PartialHull error; callers that cannot use partial coverage treat it
@@ -100,7 +92,7 @@ func (s *Server) Scatter2D(ctx context.Context, req shard.Request) (shard.Respon
 	sort.Slice(pts, func(i, j int) bool { return geom.LexLess(pts[i], pts[j]) })
 	return shard.Response{
 		Shard: req.Shard,
-		Chain: shard.Canonical(pts, res.Chain),
+		Chain: chain.Canonical(pts, res.Chain),
 		Sum:   h.Sum(),
 		Tier:  res.Report.Tier.String(),
 	}, nil

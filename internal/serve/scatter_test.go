@@ -217,7 +217,7 @@ func TestPartialAnswerHTTP206(t *testing.T) {
 // tells the client when to come back; a raw context deadline maps to 504.
 func TestOverloadMapsTo503WithRetryAfter(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeErr(rec, context.Background(), hullerr.New(hullerr.Overloaded, "serve", "queue full"))
+	writeErr(rec, httptest.NewRequest(http.MethodPost, "/v1/hull2d", nil), hullerr.New(hullerr.Overloaded, "serve", "queue full"))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overload status %d, want 503", rec.Code)
 	}
@@ -230,7 +230,7 @@ func TestOverloadMapsTo503WithRetryAfter(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeErr(rec, context.Background(), context.DeadlineExceeded)
+	writeErr(rec, httptest.NewRequest(http.MethodPost, "/v1/hull2d", nil), context.DeadlineExceeded)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("raw deadline status %d, want 504", rec.Code)
 	}

@@ -12,10 +12,15 @@ import (
 	"testing"
 	"time"
 
+	"inplacehull/internal/cull"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
 	"inplacehull/internal/hullerr"
+	"inplacehull/internal/native"
 	"inplacehull/internal/obs"
+	"inplacehull/internal/shard"
+	"inplacehull/internal/stream"
+	"inplacehull/internal/unsorted"
 	"inplacehull/internal/workload"
 )
 
@@ -59,8 +64,8 @@ func TestQuery2DMatchesOracle(t *testing.T) {
 	if !sameChain(res.Chain, want) {
 		t.Fatalf("hull2d chain mismatch: got %d vertices, want %d", len(res.Chain), len(want))
 	}
-	if res.N != 2000 || len(res.EdgeOf) != 2000 {
-		t.Fatalf("N=%d len(EdgeOf)=%d, want 2000/2000", res.N, len(res.EdgeOf))
+	if res.N != 2000 {
+		t.Fatalf("N=%d, want 2000", res.N)
 	}
 
 	sorted := workload.Sorted(workload.Disk(43, 1000))
@@ -76,8 +81,25 @@ func TestQuery2DMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestQuery3DBasic: a 3-d ball query returns a plausible cap complex and
-// classifies every point.
+// nativeFacets is the native oracle's facet count for a served native
+// 3-d query: the same seed, and the same cull the server applies.
+func nativeFacets(t *testing.T, pts []geom.Point3, seed uint64, pol cull.Policy) int {
+	t.Helper()
+	var res unsorted.Result3D
+	var err error
+	if work := cull.Points3(pol, seed, pts); len(work) < len(pts) {
+		res, err = native.Hull3DFrom(seed, pts, work, nil)
+	} else {
+		res, err = native.Hull3D(seed, pts, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(res.Facets)
+}
+
+// TestQuery3DBasic: a 3-d ball query covers every point and answers the
+// native oracle's cap complex.
 func TestQuery3DBasic(t *testing.T) {
 	s := small(t, Config{})
 	pts := workload.Ball(7, 600)
@@ -85,8 +107,8 @@ func TestQuery3DBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Facets < 1 || len(res.FacetOf) != 600 {
-		t.Fatalf("facets=%d len(FacetOf)=%d", res.Facets, len(res.FacetOf))
+	if want := nativeFacets(t, pts, 3, cull.PolicyOctagon); res.N != 600 || res.Facets != want {
+		t.Fatalf("N=%d facets=%d, want 600/%d", res.N, res.Facets, want)
 	}
 }
 
@@ -153,10 +175,13 @@ func TestValidationTyped(t *testing.T) {
 }
 
 // TestCacheHitPath: a repeated identical query is served from the cache,
-// and the counters (server stats and Prometheus export) record it.
+// and the counters (server stats and Prometheus export) record it — on
+// the inline, scattered and stream-patched paths alike.
 func TestCacheHitPath(t *testing.T) {
 	x := obs.NewMetrics()
-	s := small(t, Config{CacheSize: 4, Metrics: x})
+	store := stream.NewStore(stream.Config{})
+	s := small(t, Config{CacheSize: 4, Metrics: x, Streams: store,
+		Sharder: localSharder(t, 2, x, shard.Config{})})
 	pts := workload.Disk(11, 500)
 	q := Query{Points2: pts, Seed: 4}
 
@@ -209,6 +234,38 @@ func TestCacheHitPath(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheHits != base.CacheHits || st.CacheMisses != base.CacheMisses {
 		t.Fatal("NoCache query touched the cache")
+	}
+
+	// Scattered and stream queries: one miss, then one hit, then a
+	// NoCache query touching neither counter.
+	if _, _, err := store.Register2("live", workload.Disk(12, 500)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{{Points2: pts, Seed: 4, Shards: 2}, {Dataset: "live", Seed: 4}} {
+		for i, wantCached := range []bool{false, true} {
+			base := s.Stats()
+			res, err := s.Query2D(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			hits, misses := st.CacheHits-base.CacheHits, st.CacheMisses-base.CacheMisses
+			if res.Cached != wantCached || hits != int64(i) || misses != int64(1-i) {
+				t.Fatalf("%+v query %d: cached=%v, hits +%d, misses +%d", q, i, res.Cached, hits, misses)
+			}
+		}
+		q.NoCache = true
+		base := s.Stats()
+		if _, err := s.Query2D(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.CacheHits != base.CacheHits || st.CacheMisses != base.CacheMisses {
+			t.Fatalf("%+v touched the cache", q)
+		}
+	}
+	st = s.Stats()
+	if x.ServeCounter("cache_hits_total") != st.CacheHits || x.ServeCounter("cache_misses_total") != st.CacheMisses {
+		t.Fatal("metrics exporter disagrees with server stats")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"inplacehull/internal/fault"
+	"inplacehull/internal/hull2d"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/resilient"
 	"inplacehull/internal/rng"
@@ -100,15 +101,17 @@ func TestOverloadSoak(t *testing.T) {
 				cancel()
 				switch {
 				case err == nil:
-					// A result must be a result: the right cardinality for
-					// its input (correctness proper is the resilient
-					// layer's oracle-checked contract).
+					// A result must be a result: it covers its whole input,
+					// a 2-d chain is the oracle's hull, and a 3-d answer
+					// has caps (the counted cap complex is seed-dependent;
+					// its correctness is the resilient layer's
+					// oracle-checked contract).
 					if q.Points3 != nil {
-						if len(res.FacetOf) != len(q.Points3) {
-							t.Errorf("3-d result classifies %d of %d points", len(res.FacetOf), len(q.Points3))
+						if res.N != len(q.Points3) || res.Facets < 1 {
+							t.Errorf("3-d result: N=%d of %d points, %d facets", res.N, len(q.Points3), res.Facets)
 						}
-					} else if len(res.EdgeOf) != len(q.Points2) {
-						t.Errorf("2-d result classifies %d of %d points", len(res.EdgeOf), len(q.Points2))
+					} else if res.N != len(q.Points2) || !sameChain(res.Chain, hull2d.UpperHull(q.Points2)) {
+						t.Errorf("2-d result: N=%d of %d points, chain is not the oracle's hull", res.N, len(q.Points2))
 					}
 					record("result")
 				case errors.Is(err, hullerr.ErrOverload):

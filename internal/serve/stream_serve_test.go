@@ -16,6 +16,7 @@ import (
 	"inplacehull/internal/hull2d"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/stream"
+	"inplacehull/internal/unsorted"
 	"inplacehull/internal/workload"
 )
 
@@ -40,8 +41,8 @@ func TestStreamQueryPatched(t *testing.T) {
 	if !sameChain(res.Chain, hull2d.UpperHull(pts)) {
 		t.Fatalf("patched chain mismatch: got %d vertices", len(res.Chain))
 	}
-	if res.N != len(pts) || len(res.EdgeOf) != len(pts) {
-		t.Fatalf("patched answer covers %d/%d points (EdgeOf %d)", res.N, len(pts), len(res.EdgeOf))
+	if res.N != len(pts) {
+		t.Fatalf("patched answer covers %d/%d points", res.N, len(pts))
 	}
 	st := s.Stats()
 	if st.StreamQueries != 1 || st.StreamPatched != 1 {
@@ -123,11 +124,15 @@ func TestStreamQuery3DPatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N != len(pts) || len(res.FacetOf) != len(pts) || res.Facets == 0 {
-		t.Fatalf("3-d patched answer shape: n=%d facets=%d facetof=%d", res.N, res.Facets, len(res.FacetOf))
+	snap, err := sd.Snapshot3()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap, err := sd.Snapshot3(); err != nil || &res.FacetOf[0] != &snap.FacetOf32[0] {
-		t.Fatalf("3-d patched answer copies the committed cap map instead of aliasing it (%v)", err)
+	if err := unsorted.CheckCaps3D(snap.Points, snap.Res); err != nil {
+		t.Fatalf("committed caps fail the oracle: %v", err)
+	}
+	if res.N != len(pts) || res.Facets != len(snap.Res.Facets) {
+		t.Fatalf("3-d patched answer: n=%d facets=%d, want %d/%d", res.N, res.Facets, len(pts), len(snap.Res.Facets))
 	}
 	if _, err := sd.Append3(context.Background(), []geom.Point3{{X: 5, Y: 5, Z: 5}}); err != nil {
 		t.Fatal(err)

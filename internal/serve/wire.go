@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"inplacehull/internal/geom"
-	"inplacehull/internal/shard"
 )
 
 // The wire codec of the point-carrying bodies (POST /v1/hull2d|3d, PUT
@@ -95,12 +94,11 @@ func readBody(w http.ResponseWriter, req *http.Request) (*[]byte, error) {
 func writeBodyErr(w http.ResponseWriter, req *http.Request, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, httpError{
-			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			Kind:  "invalid input", RequestID: shard.RequestIDFrom(req.Context())})
+		writeError(w, req, http.StatusRequestEntityTooLarge, "invalid input",
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 		return
 	}
-	writeJSON(w, http.StatusBadRequest, httpError{Error: "bad JSON: " + err.Error(), Kind: "invalid input"})
+	writeBadRequest(w, req, "bad JSON: "+err.Error())
 }
 
 // decodeHullQuery decodes a POST /v1/hull2d|3d body for dimension dim

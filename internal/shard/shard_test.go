@@ -97,11 +97,11 @@ func TestCanonicalRepairsDeviations(t *testing.T) {
 	want := hull2d.UpperHull(pts)
 	// Simulate a subdivided collinear edge and a missing column top.
 	deviant := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 2}, {X: 3, Y: 3}}
-	if s := sameChain(want, Canonical(sorted, deviant)); s != "" {
+	if s := sameChain(want, chain.Canonical(sorted, deviant)); s != "" {
 		t.Fatalf("canonicalization failed: %s", s)
 	}
 	// Already-canonical chains pass through unchanged.
-	if s := sameChain(want, Canonical(sorted, want)); s != "" {
+	if s := sameChain(want, chain.Canonical(sorted, want)); s != "" {
 		t.Fatalf("canonical fixed point violated: %s", s)
 	}
 }

@@ -75,7 +75,7 @@ type LocalWorker struct {
 	// only: the native engine draws no per-step randomness.
 	NewStream func(seed uint64) *rng.Stream
 	// Backend selects the shard's execution engine. BackendAuto resolves
-	// to BackendNative — serving wants host speed, and Canonical()
+	// to BackendNative — serving wants host speed, and chain.Canonical
 	// guarantees the merge sees identical chains either way. The E20 soak
 	// pins BackendCounted because its fault payloads ride the counted
 	// machine's stream.
@@ -90,11 +90,11 @@ func (w *LocalWorker) Name() string {
 	return w.ID
 }
 
-// Partial implements Worker: checkout a machine, run the supervisor, then
-// canonicalize the chain so the response is the *strict* upper hull of the
-// shard bytes — vertical columns collapsed to their top point, collinear
-// runs collapsed to their endpoints — regardless of which ladder tier
-// answered. Canonical form is what makes "bit-identical to single-node"
+// Partial implements Worker: checkout a machine (counted workers only),
+// run the plan's hull step, then canonicalize the chain so the response
+// is the *strict* upper hull of the shard bytes — vertical columns
+// collapsed to their top point, collinear runs collapsed to their
+// endpoints — regardless of which backend or ladder tier answered. Canonical form is what makes "bit-identical to single-node"
 // meaningful across shard plans.
 func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error) {
 	const op = "shard.LocalWorker"
@@ -116,7 +116,7 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 		}
 		p.Backend, p.Machine, p.Rand = resilient.BackendCounted, m, ns(req.Seed)
 	}
-	res, rep, err := p.Run2D(ctx, engine.Input2D{Full: req.Points, Work: req.Points})
+	c, rep, err := p.Hull2D(ctx, engine.Input2D{Full: req.Points, Work: req.Points})
 	if err != nil {
 		return Response{}, err
 	}
@@ -127,18 +127,11 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 	h.Points2(req.Points)
 	return Response{
 		Shard: req.Shard,
-		Chain: Canonical(req.Points, res.Chain),
+		Chain: chain.Canonical(req.Points, c),
 		Sum:   h.Sum(),
 		Tier:  rep.Tier.String(),
 	}, nil
 }
-
-// Canonical rebuilds the strict upper hull of the (x, y)-sorted shard
-// input pts from a computed chain (chain.Canonical). A shard response
-// is always in this form, whichever backend or ladder tier answered:
-// canonical form is what makes "bit-identical to single-node" meaningful
-// across shard plans.
-func Canonical(pts, computed []geom.Point) []geom.Point { return chain.Canonical(pts, computed) }
 
 // ChaosWorker decorates a Worker with the deterministic network failure
 // modes of internal/fault: shard-slow (straggle past the hedge threshold),

@@ -215,10 +215,6 @@ func (d *Dataset) mutate3(ctx context.Context, op string, add, del []geom.Point3
 // installCaps3 commits a replay result: snapshot, caps, sorted vertex set.
 func (d *Dataset) installCaps3(full []geom.Point3, res unsorted.Result3D) {
 	d.snap3, d.res3 = full, res
-	d.facetOf32 = make([]int32, len(res.FacetOf))
-	for i, f := range res.FacetOf {
-		d.facetOf32[i] = int32(f)
-	}
 	set := map[geom.Point3]bool{}
 	for _, f := range res.Facets {
 		set[f.A], set[f.B], set[f.C] = true, true, true

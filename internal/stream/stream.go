@@ -155,15 +155,12 @@ type Snapshot2 struct {
 }
 
 // Snapshot3 is the 3-d twin: the live multiset in retained order and the
-// cap structure aligned with it (FacetOf[i] caps Points[i]). FacetOf32
-// is Res.FacetOf narrowed once at commit, so a server can hold it in
-// cached answers without copying it per read.
+// cap structure aligned with it (FacetOf[i] caps Points[i]).
 type Snapshot3 struct {
-	Points    []geom.Point3
-	Res       unsorted.Result3D
-	FacetOf32 []int32
-	Version   uint64
-	Hash      hullhash.Sum
+	Points  []geom.Point3
+	Res     unsorted.Result3D
+	Version uint64
+	Hash    hullhash.Sum
 }
 
 // Sub is a hull-delta subscription. Receive from C; a slow subscriber's
@@ -226,18 +223,16 @@ type Dataset struct {
 
 	// 3-d state: counts3/all3 mirror counts/order (all3 is first-seen
 	// order, not sorted); snap3+res3 are the last committed cap
-	// structure and facetOf32 its narrowed cap map; verts3 the sorted
-	// hull vertex set; hullV3 its set form.
-	counts3   map[geom.Point3]int
-	all3      []geom.Point3
-	dead3     int
-	liveN3    int
-	distin3   int
-	snap3     []geom.Point3
-	res3      unsorted.Result3D
-	facetOf32 []int32
-	verts3    []geom.Point3
-	hullV3    map[geom.Point3]bool
+	// structure; verts3 the sorted hull vertex set; hullV3 its set form.
+	counts3 map[geom.Point3]int
+	all3    []geom.Point3
+	dead3   int
+	liveN3  int
+	distin3 int
+	snap3   []geom.Point3
+	res3    unsorted.Result3D
+	verts3  []geom.Point3
+	hullV3  map[geom.Point3]bool
 }
 
 // Name returns the dataset name.
@@ -308,11 +303,10 @@ func (d *Dataset) Snapshot3() (Snapshot3, error) {
 		return Snapshot3{}, err
 	}
 	return Snapshot3{
-		Points:    d.snap3,
-		Res:       d.res3,
-		FacetOf32: d.facetOf32,
-		Version:   d.version,
-		Hash:      d.hash,
+		Points:  d.snap3,
+		Res:     d.res3,
+		Version: d.version,
+		Hash:    d.hash,
 	}, nil
 }
 

@@ -308,14 +308,6 @@ func TestIncrementalParity3D(t *testing.T) {
 			if err := unsorted.CheckCaps3D(snap.Points, snap.Res); err != nil {
 				t.Fatalf("step %d: maintained caps failed oracle: %v", step, err)
 			}
-			if len(snap.FacetOf32) != len(snap.Res.FacetOf) {
-				t.Fatalf("step %d: narrowed cap map has %d entries, caps %d", step, len(snap.FacetOf32), len(snap.Res.FacetOf))
-			}
-			for i, f := range snap.Res.FacetOf {
-				if int(snap.FacetOf32[i]) != f {
-					t.Fatalf("step %d: point %d narrowed cap %d, cap %d", step, i, snap.FacetOf32[i], f)
-				}
-			}
 		}
 	}
 }

@@ -617,7 +617,7 @@ func assemble2D(pts []geom.Point, edges []geom.Edge, edgeU, edgeW []geom.Point, 
 		e := geom.Edge{U: edgeU[p], W: edgeW[p]}
 		if e.U == e.W {
 			// Vertex cap: locate the real edge covering this x, if any.
-			res.EdgeOf[p] = findCovering(list, pts[p].X)
+			res.EdgeOf[p] = geom.CoveringEdge(list, pts[p].X)
 			continue
 		}
 		i, ok := idx[e]
@@ -628,21 +628,4 @@ func assemble2D(pts []geom.Point, edges []geom.Edge, edgeU, edgeW []geom.Point, 
 		res.EdgeOf[p] = i
 	}
 	return res, nil
-}
-
-// findCovering returns the index of an edge whose x-span covers x, or −1.
-func findCovering(list []geom.Edge, x float64) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid].W.X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].Covers(x) {
-		return lo
-	}
-	return -1
 }
