@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"inplacehull/internal/geom"
 	"inplacehull/internal/serve"
 	"inplacehull/internal/workload"
 )
@@ -37,7 +38,11 @@ import (
 //     NOTHING is strictly interior, the filter can discard nothing, and
 //     the row prices its pure overhead.
 //
-// Acceptance: on at least one interior-heavy workload the octagon or
+// A fourth workload, 3-d ball (uniform in a ball, n ∈ {2048, 16384}),
+// is reported, not gated: it prices the 3-d octahedron against the
+// sampled upper-hull filter that "auto" means in 3-d.
+//
+// Acceptance: on at least one interior-heavy 2-d workload the octagon or
 // coarse policy must at least double end-to-end throughput versus the
 // same stream with culling off, with the measured cull ratio recorded in
 // the row; on circle the ratio must stay ~0 (conservatism: the filter
@@ -64,6 +69,8 @@ type CullServeRow struct {
 	// GOMAXPROCS stamps the core count (drift compares matching stamps
 	// only, as in the E21 rows).
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// Dim is the query dimension; 3-d rows are reported, never gated.
+	Dim int `json:"dim"`
 }
 
 // cullGens are E22's workload generators (see the experiment comment).
@@ -75,74 +82,103 @@ func cullGens() []workload.Gen2D {
 	}
 }
 
-func measureCullServe(cfg Config) ([]CullServeRow, []string) {
-	ns := []int{1024, 4096, 16384}
-	conc, total := 16, 400
+// cullCase is one (workload, n) cell of E22: its dimension and the
+// query it sends for closed-loop request i under a cull policy.
+type cullCase struct {
+	workload string
+	dim, n   int
+	query    func(s *serve.Server, i int, policy string) (serve.Result, error)
+}
+
+func cullCases(cfg Config) []cullCase {
+	ns, ns3 := []int{1024, 4096, 16384}, []int{2048, 16384}
 	if cfg.Quick {
 		ns = []int{1024, 4096}
+	}
+	var cases []cullCase
+	for _, g := range cullGens() {
+		for _, n := range ns {
+			qs := make([][]geom.Point, serveDistinct)
+			for i := range qs {
+				qs[i] = g.Gen(cfg.Seed+22+uint64(i%4), n)
+			}
+			cases = append(cases, cullCase{g.Name, 2, n, func(s *serve.Server, i int, policy string) (serve.Result, error) {
+				return s.Query2D(context.Background(), serve.Query{
+					Points2: qs[i%len(qs)], Seed: cfg.Seed + uint64(i%len(qs)), NoCache: true,
+					Backend: "native", Cull: policy,
+				})
+			}})
+		}
+	}
+	for _, n := range ns3 {
+		qs := make([][]geom.Point3, serveDistinct)
+		for i := range qs {
+			qs[i] = workload.Ball(cfg.Seed+22+uint64(i%4), n)
+		}
+		cases = append(cases, cullCase{"ball", 3, n, func(s *serve.Server, i int, policy string) (serve.Result, error) {
+			return s.Query3D(context.Background(), serve.Query{
+				Points3: qs[i%len(qs)], Seed: cfg.Seed + uint64(i%len(qs)), NoCache: true,
+				Backend: "native", Cull: policy,
+			})
+		}})
+	}
+	return cases
+}
+
+func measureCullServe(cfg Config) ([]CullServeRow, []string) {
+	conc, total := 16, 400
+	if cfg.Quick {
 		conc, total = 8, 200
 	}
 
 	var rows []CullServeRow
-	for _, g := range cullGens() {
-		for _, n := range ns {
-			qs := make([]serveQuery, serveDistinct)
-			for i := range qs {
-				qs[i] = serveQuery{
-					pts:  g.Gen(cfg.Seed+22+uint64(i%4), n),
-					seed: cfg.Seed + uint64(i),
+	for _, c := range cullCases(cfg) {
+		s := serve.NewServer(serve.Config{
+			FleetSize: serveFleet, Workers: serveWorkers,
+			MaxQueue: conc * 2, MaxBatch: 16,
+			BatchWindow: 200 * time.Microsecond,
+			CacheSize:   0, // cache-miss serving: every query pays compute
+		})
+		run := func(policy string) (serve.LoadResult, float64) {
+			var culled, points atomic.Int64
+			lr := serve.RunClosedLoop(conc, total, func(i int) error {
+				res, err := c.query(s, i, policy)
+				if err == nil {
+					culled.Add(int64(res.Culled))
+					points.Add(int64(res.N))
 				}
-			}
-			s := serve.NewServer(serve.Config{
-				FleetSize: serveFleet, Workers: serveWorkers,
-				MaxQueue: conc * 2, MaxBatch: 16,
-				BatchWindow: 200 * time.Microsecond,
-				CacheSize:   0, // cache-miss serving: every query pays compute
+				return err
 			})
-			run := func(policy string) (serve.LoadResult, float64) {
-				var culled, points atomic.Int64
-				lr := serve.RunClosedLoop(conc, total, func(i int) error {
-					q := qs[i%len(qs)]
-					res, err := s.Query2D(context.Background(), serve.Query{
-						Points2: q.pts, Seed: q.seed, NoCache: true,
-						Backend: "native", Cull: policy,
-					})
-					if err == nil {
-						culled.Add(int64(res.Culled))
-						points.Add(int64(res.N))
-					}
-					return err
-				})
-				ratio := 0.0
-				if points.Load() > 0 {
-					ratio = float64(culled.Load()) / float64(points.Load())
-				}
-				return lr, ratio
+			ratio := 0.0
+			if points.Load() > 0 {
+				ratio = float64(culled.Load()) / float64(points.Load())
 			}
-			add := func(policy string, lr serve.LoadResult, ratio, speedup float64) {
-				rows = append(rows, CullServeRow{
-					Workload: g.Name, Policy: policy, N: n, Conc: conc, Total: total,
-					OK: lr.OK, Shed: lr.Overloads,
-					QPS:   lr.Throughput,
-					P50us: float64(lr.P50.Microseconds()), P95us: float64(lr.P95.Microseconds()),
-					CullRatio: ratio, Speedup: speedup,
-					GOMAXPROCS: runtime.GOMAXPROCS(0),
-				})
-			}
-			off, _ := run("off")
-			add("off", off, 0, 1)
-			for _, pol := range []string{"octagon", "coarse"} {
-				lr, ratio := run(pol)
-				add(pol, lr, ratio, lr.Throughput/off.Throughput)
-			}
-			s.Close()
+			return lr, ratio
 		}
+		add := func(policy string, lr serve.LoadResult, ratio, speedup float64) {
+			rows = append(rows, CullServeRow{
+				Workload: c.workload, Dim: c.dim, Policy: policy, N: c.n, Conc: conc, Total: total,
+				OK: lr.OK, Shed: lr.Overloads,
+				QPS:   lr.Throughput,
+				P50us: float64(lr.P50.Microseconds()), P95us: float64(lr.P95.Microseconds()),
+				CullRatio: ratio, Speedup: speedup,
+				GOMAXPROCS: runtime.GOMAXPROCS(0),
+			})
+		}
+		off, _ := run("off")
+		add("off", off, 0, 1)
+		for _, pol := range []string{"octagon", "coarse"} {
+			lr, ratio := run(pol)
+			add(pol, lr, ratio, lr.Throughput/off.Throughput)
+		}
+		s.Close()
 	}
 	notes := []string{
 		"one server per (workload, n), cache disabled, native backend; the streams differ only in the per-query cull wire string",
 		"cull ratio is discarded/submitted points averaged over all answered queries; speedup is same-run QPS over the culling-off row",
 		"disk and cluster8 are interior-heavy (the filter earns its keep); circle is adversarial — nothing is strictly interior, the row prices pure filter overhead",
 		"acceptance: best interior-heavy speedup ≥2x with its cull ratio recorded; circle ratio ~0 (conservatism) without collapsing throughput",
+		"ball rows are 3-d and reported only: octagon is the octahedron (keeps conv), coarse the sampled upper-hull filter 3-d auto resolves to",
 	}
 	return rows, notes
 }
@@ -155,6 +191,9 @@ func gateCull(rows []CullServeRow, basePath string) ([]string, error) {
 	var best CullServeRow
 	sawInterior, sawCircle := false, false
 	for _, r := range rows {
+		if r.Dim == 3 {
+			continue
+		}
 		if r.Shed > 0 {
 			fails = append(fails, fmt.Sprintf(
 				"%s/%s n=%d: %d requests shed with queue 2×conc", r.Workload, r.Policy, r.N, r.Shed))
@@ -214,7 +253,7 @@ func gateCull(rows []CullServeRow, basePath string) ([]string, error) {
 		baseRows[key{r.Workload, r.Policy, r.N, r.Conc}] = r
 	}
 	for _, r := range rows {
-		if r.Policy == "off" {
+		if r.Policy == "off" || r.Dim == 3 {
 			continue
 		}
 		br, ok := baseRows[key{r.Workload, r.Policy, r.N, r.Conc}]
@@ -239,11 +278,11 @@ func init() {
 
 			t := Table{
 				Title:   "E22 — admission culling on cache-miss native serving: off vs octagon vs coarse",
-				Columns: []string{"workload", "policy", "n", "conc", "q/s", "p50 µs", "p95 µs", "cull ratio", "vs off"},
+				Columns: []string{"workload", "dim", "policy", "n", "conc", "q/s", "p50 µs", "p95 µs", "cull ratio", "vs off"},
 				Notes:   notes,
 			}
 			for _, r := range rows {
-				t.Add(r.Workload, r.Policy, r.N, r.Conc, r.QPS, r.P50us, r.P95us, r.CullRatio, r.Speedup)
+				t.Add(r.Workload, r.Dim, r.Policy, r.N, r.Conc, r.QPS, r.P50us, r.P95us, r.CullRatio, r.Speedup)
 			}
 
 			if cfg.ServeJSON != "" {

@@ -1,43 +1,59 @@
 // Package cull is the admission-side interior-point pre-filter: before a
 // query's points reach batching, hashing, or a backend run, discard the
 // points that certainly cannot matter to the hull, so effective-n — not
-// raw-n — drives every downstream cost. Two filter families are provided,
-// both allocation-light and parallelized over the shared binary-forking
-// token pool (internal/fork):
+// raw-n — drives every downstream cost. Three filter families are
+// provided, all allocation-light and parallelized over the shared
+// binary-forking token pool (internal/fork):
 //
 //   - Extreme-point polygons (PolicyQuad, PolicyOctagon): the classic
 //     throw-away heuristic of Akl & Toussaint as used by the
 //     quadrilateral/octagon pre-pass of Heydari & Khalifeh — find the
 //     input's extreme points in 4 (resp. 8) directions, take their convex
 //     polygon, and discard everything strictly inside it. One parallel
-//     reduction plus one parallel scan; no per-point allocation.
+//     reduction plus one parallel scan; no per-point allocation. In 3-d
+//     both use the octahedron of the 6 axis extremes.
 //
-//   - Sampled coarse hull (PolicyCoarse): the paper-native variant —
+//   - Sampled coarse hull (PolicyCoarse, 2-d): the paper-native variant —
 //     Lemma 3.1-style sampling (a seeded ~√n random sample, widened by
 //     the 8 directional extremes), an exact convex hull of the sample,
 //     then a wedge-binary-search point-in-polygon discard pass. Costs
 //     O(√n log n) to build and O(log h) per point; it adapts to the
 //     input's shape where the fixed octagon cannot.
 //
+//   - Sampled upper hull (PolicyCoarse, 3-d): the same seeded sample,
+//     widened by the 6 axis extremes, built into a 3-d hull
+//     (hull3d.Incremental); a point is discarded when it lies certainly
+//     strictly below one of the sample's upper faces, inside that face's
+//     xy-projection. Every 3-d answer is a set of upper caps, so points
+//     under the upper hull are dead weight even when they are extreme
+//     below.
+//
 // Correctness story (the invariant every test in this package gates on):
-// a point is discarded only when it is CERTAINLY strictly inside the
-// convex hull of a candidate set C whose members are themselves input
-// points. Strict interior of conv(C) ⊆ strict interior of conv(input),
-// so no discarded point can be a hull vertex, lie on a hull edge, or
-// change the hull in any way: conv(survivors) == conv(input) exactly, and
-// the canonical strict upper chain of the survivors is bit-identical to
-// that of the full input. "Certainly" means the strict-side tests use
-// conservative floating-point error bounds (the same Shewchuk-style
-// filter constants as internal/geom): any determinant within its error
-// bound of zero — and any comparison poisoned by NaN or ±Inf — KEEPS the
-// point. Non-finite points are therefore never discarded, which preserves
+// the 2-d filters and the 3-d octahedron discard a point only when it is
+// CERTAINLY strictly inside the convex hull of a candidate set C whose
+// members are themselves input points. Strict interior of conv(C) ⊆
+// strict interior of conv(input), so no discarded point can be a hull
+// vertex, lie on a hull edge, or change the hull in any way:
+// conv(survivors) == conv(input) exactly, and the canonical strict upper
+// chain of the survivors is bit-identical to that of the full input. The
+// 3-d upper filter keeps the weaker, answer-level invariant: a discarded
+// point lies strictly below the upper hull of input points and strictly
+// inside their xy-shadow, so the survivors have the same upper hull and
+// the same xy-shadow as the input, while their lower hull may shrink.
+//
+// "Certainly" means the strict-side tests use conservative
+// floating-point error bounds (the same Shewchuk-style filter constants
+// as internal/geom): any determinant within its error bound of zero —
+// and any comparison poisoned by NaN or ±Inf — KEEPS the point.
+// Non-finite points are therefore never discarded, which preserves
 // typed-error parity: validation of the culled set fails exactly when
 // validation of the full set would.
 //
 // Degenerate inputs degrade to a no-op, never to wrongness: if the
 // candidate polygon has fewer than three vertices (all-collinear,
-// all-duplicate, tiny n) the filter keeps everything. Adversarial inputs
-// (all points on a circle) simply cull ~0 points at scan cost.
+// all-duplicate, tiny n), or the 3-d sample is flat, the filter keeps
+// everything. Adversarial inputs (all points on a circle) simply cull ~0
+// points at scan cost.
 package cull
 
 import (
@@ -46,6 +62,7 @@ import (
 
 	"inplacehull/internal/fork"
 	"inplacehull/internal/geom"
+	"inplacehull/internal/hull3d"
 	"inplacehull/internal/rng"
 )
 
@@ -54,9 +71,9 @@ import (
 type Policy int
 
 const (
-	// PolicyAuto lets the library pick; it currently resolves to
-	// PolicyOctagon, the best fixed-cost ratio on the serving workloads
-	// E22 measures.
+	// PolicyAuto lets the library pick per dimension: PolicyOctagon in
+	// 2-d (Resolve), the best fixed-cost ratio on the serving workloads
+	// E22 measures, and PolicyCoarse in 3-d (Resolve3).
 	PolicyAuto Policy = iota
 	// PolicyOff disables culling.
 	PolicyOff
@@ -67,7 +84,8 @@ const (
 	// extremes (±x, ±y, ±(x+y), ±(x−y)).
 	PolicyOctagon
 	// PolicyCoarse culls against an exact convex hull of a seeded ~√n
-	// sample widened by the 8 directional extremes.
+	// sample widened by the 8 directional extremes (2-d), or below the
+	// upper hull of such a sample widened by the 6 axis extremes (3-d).
 	PolicyCoarse
 )
 
@@ -106,11 +124,22 @@ func (p Policy) String() string {
 	}
 }
 
-// Resolve collapses PolicyAuto to the concrete policy it currently means,
-// so cache keys and response headers always name the filter that ran.
+// Resolve collapses PolicyAuto to the concrete 2-d policy it currently
+// means, so cache keys and response headers always name the filter that
+// ran.
 func (p Policy) Resolve() Policy {
 	if p == PolicyAuto {
 		return PolicyOctagon
+	}
+	return p
+}
+
+// Resolve3 is Resolve for 3-d inputs: PolicyAuto means the sampled
+// upper-hull filter, which on a 2048-point ball keeps about a third of
+// the points the octahedron keeps.
+func (p Policy) Resolve3() Policy {
+	if p == PolicyAuto {
+		return PolicyCoarse
 	}
 	return p
 }
@@ -166,47 +195,33 @@ func Points2(pol Policy, seed uint64, pts []geom.Point) []geom.Point {
 	if len(poly) > polyScanMax {
 		inside = func(p geom.Point) bool { return insideWedge(poly, p) }
 	}
-	keep := make([]bool, len(pts))
-	survivors := 0
-	fork.For(len(pts), cullGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keep[i] = !inside(pts[i])
-		}
-	})
-	for _, k := range keep {
-		if k {
-			survivors++
-		}
-	}
-	if survivors == len(pts) {
-		return pts
-	}
-	out := make([]geom.Point, 0, survivors)
-	for i, k := range keep {
-		if k {
-			out = append(out, pts[i])
-		}
-	}
-	return out
+	return survivors(pts, inside)
 }
 
 // Points3 returns the subset of pts surviving the 3-d filter, in input
-// order, never mutating pts. Every active policy uses the octahedron
+// order, never mutating pts; when nothing is discarded the input slice
+// itself is returned. PolicyQuad and PolicyOctagon use the octahedron
 // analogue of the extreme-point polygon: the 6 axis extremes (±x, ±y, ±z)
 // split into 4 tetrahedra around the (x−, x+) axis, and a point is
 // discarded only when it is certainly strictly inside one of them — a
 // test that is unconditionally sound (each tetrahedron's vertices are
 // input points, so its strict interior is strict hull interior) no matter
-// how degenerate the extreme configuration is. seed is accepted for
-// signature symmetry and ignored.
+// how degenerate the extreme configuration is, and that keeps
+// conv(survivors) == conv(pts). PolicyCoarse (and PolicyAuto, see
+// Resolve3) discards the points certainly strictly below the upper hull
+// of a sample seeded by seed, keeping only the upper hull and the
+// xy-shadow of pts (belowSample).
 func Points3(pol Policy, seed uint64, pts []geom.Point3) []geom.Point3 {
-	_ = seed
-	if pol.Resolve() == PolicyOff || len(pts) < minN {
+	pol = pol.Resolve3()
+	if pol == PolicyOff || len(pts) < minN {
 		return pts
 	}
 	ex, ok := extremes3(pts)
 	if !ok {
 		return pts
+	}
+	if pol == PolicyCoarse {
+		return belowSample(pts, seed, ex)
 	}
 	// Tetrahedra share the x-axis diagonal; each pairs one of ±y with one
 	// of ±z. Their union fills the octahedron for well-shaped inputs.
@@ -216,30 +231,79 @@ func Points3(pol Policy, seed uint64, pts []geom.Point3) []geom.Point3 {
 		{ex[0], ex[1], ex[3], ex[4]}, // x−, x+, y−, z+
 		{ex[0], ex[1], ex[3], ex[5]}, // x−, x+, y−, z−
 	}
-	keep := make([]bool, len(pts))
-	survivors := 0
-	fork.For(len(pts), cullGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pts[i]
-			discard := false
-			for t := range tets {
-				if insideTetStrict(tets[t], p) {
-					discard = true
-					break
-				}
+	return survivors(pts, func(p geom.Point3) bool {
+		for t := range tets {
+			if insideTetStrict(tets[t], p) {
+				return true
 			}
-			keep[i] = !discard
 		}
+		return false
 	})
-	for _, k := range keep {
-		if k {
-			survivors++
+}
+
+// belowSample is the 3-d PolicyCoarse filter: the upper faces of the hull
+// of a coarse sample (see sampleSize) widened by the axis extremes ex, a
+// grid locator over their xy-projections, and one parallel discard pass.
+// A point goes only when it is certainly strictly inside the projection
+// of the face above it and certainly strictly below that face's plane;
+// the sample's upper hull lies on or under the input's, so such a point
+// is under the input's upper hull and inside its xy-shadow. A
+// non-finite sample point or a flat sample keeps everything.
+func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point3 {
+	m := sampleSize(len(pts))
+	r := rng.New(seed ^ sampleSalt)
+	sample := make([]geom.Point3, 0, m+len(ex))
+	for i := 0; i < m; i++ {
+		sample = append(sample, pts[r.Intn(len(pts))])
+	}
+	sample = append(sample, ex[:]...)
+	for _, p := range sample {
+		if !p.IsFinite() {
+			return pts
 		}
 	}
-	if survivors == len(pts) {
+	h, err := hull3d.Incremental(r, sample)
+	if err != nil {
 		return pts
 	}
-	out := make([]geom.Point3, 0, survivors)
+	faces := h.UpperFaces()
+	loc := hull3d.NewLocator(h.Pts, faces)
+	return survivors(pts, func(p geom.Point3) bool {
+		fi := loc.FaceAbove(p.X, p.Y) // −1 for NaN x or y: keep
+		if fi < 0 {
+			return false
+		}
+		a, b, c := h.Pts[faces[fi].A], h.Pts[faces[fi].B], h.Pts[faces[fi].C]
+		q := xy(p)
+		// UpperFaces orients every face CCW in xy, and for such a face the
+		// un-negated Shewchuk determinant is positive below the plane.
+		return strictLeft(xy(a), xy(b), q) && strictLeft(xy(b), xy(c), q) &&
+			strictLeft(xy(c), xy(a), q) && orient3Strict(a, b, c, p) > 0
+	})
+}
+
+func xy(p geom.Point3) geom.Point { return geom.Point{X: p.X, Y: p.Y} }
+
+// survivors runs discard over pts in one parallel pass and returns the
+// points it does not discard, in input order — the input slice itself
+// when it discards none.
+func survivors[P any](pts []P, discard func(P) bool) []P {
+	keep := make([]bool, len(pts))
+	fork.For(len(pts), cullGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keep[i] = !discard(pts[i])
+		}
+	})
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == len(pts) {
+		return pts
+	}
+	out := make([]P, 0, n)
 	for i, k := range keep {
 		if k {
 			out = append(out, pts[i])
@@ -304,21 +368,21 @@ func extremes2(pts []geom.Point, dirs []geom.Point) []geom.Point {
 	return out
 }
 
-// coarseSample draws the PolicyCoarse candidate set: ⌈√n⌉ seeded random
-// picks (clamped to [sampleMin, sampleMax]) widened by the 8 directional
-// extremes so the coarse hull never has less reach than the octagon.
+// sampleSalt decorrelates the coarse samples from backend sampling.
+const sampleSalt = 0xC0A85E_CA11
+
+// sampleSize is the number of seeded random picks in a coarse sample of
+// n points: ⌊√n⌋ clamped to [sampleMin, sampleMax], and at most n.
+func sampleSize(n int) int {
+	return min(max(int(math.Sqrt(float64(n))), sampleMin), sampleMax, n)
+}
+
+// coarseSample draws the 2-d PolicyCoarse candidate set: sampleSize
+// seeded random picks widened by the 8 directional extremes so the coarse
+// hull never has less reach than the octagon.
 func coarseSample(pts []geom.Point, seed uint64) []geom.Point {
-	m := int(math.Sqrt(float64(len(pts))))
-	if m < sampleMin {
-		m = sampleMin
-	}
-	if m > sampleMax {
-		m = sampleMax
-	}
-	if m > len(pts) {
-		m = len(pts)
-	}
-	r := rng.New(seed ^ 0xC0A85E_CA11) // decorrelate from backend sampling
+	m := sampleSize(len(pts))
+	r := rng.New(seed ^ sampleSalt)
 	out := make([]geom.Point, 0, m+len(octDirs))
 	for i := 0; i < m; i++ {
 		out = append(out, pts[r.Intn(len(pts))])

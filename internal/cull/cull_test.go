@@ -1,13 +1,18 @@
 package cull
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
+	"inplacehull/internal/hull3d"
+	"inplacehull/internal/lp"
 	"inplacehull/internal/native"
 	"inplacehull/internal/rng"
+	"inplacehull/internal/unsorted"
 	"inplacehull/internal/workload"
 )
 
@@ -217,12 +222,22 @@ func TestMetamorphic2D(t *testing.T) {
 	}
 }
 
-// TestParity3D: the 3-d octahedron filter must preserve the cap
-// structure's correctness — Hull3DFrom(full, culled) passes the
-// CheckCaps3D oracle (it gates internally) on every 3-d workload, in both
-// z orientations, and culled survivors must include every hull vertex
-// (pinned indirectly: the hull of the survivors admits caps covering the
-// FULL point set).
+// flip3 reflects z, so a lower hull reads as an upper one.
+func flip3(ps []geom.Point3) []geom.Point3 {
+	out := make([]geom.Point3, len(ps))
+	for i, p := range ps {
+		out[i] = geom.Point3{X: p.X, Y: p.Y, Z: -p.Z}
+	}
+	return out
+}
+
+// TestParity3D: every 3-d filter leaves survivors that answer for the
+// full input on their own — their hull has the full input's upper faces,
+// and its caps lifted over the FULL point set pass CheckCaps3D — on every
+// 3-d workload, in both z orientations. The octahedron keeps conv, so
+// its survivors must also answer for the z-reflected input. The upper
+// filter (auto, coarse) keeps only the upper hull by design, so there
+// the input is reflected before filtering.
 func TestParity3D(t *testing.T) {
 	gens := map[string]func(seed uint64, n int) []geom.Point3{
 		"ball":   workload.Ball,
@@ -231,26 +246,97 @@ func TestParity3D(t *testing.T) {
 	for name, gen := range gens {
 		for _, n := range []int{0, 1, 5, 31, 64, 500, 2000} {
 			pts := gen(7, n)
-			culled := Points3(PolicyAuto, 1, pts)
-			if len(culled) > len(pts) {
-				t.Fatalf("%s n=%d: culled grew", name, n)
-			}
-			if _, err := native.Hull3DFrom(42, pts, culled, nil); err != nil {
-				t.Fatalf("%s n=%d: caps over culled set failed the oracle: %v", name, n, err)
-			}
-			// Reflect z so the filter's lower side is exercised as an upper
-			// hull too.
-			flip := func(ps []geom.Point3) []geom.Point3 {
-				out := make([]geom.Point3, len(ps))
-				for i, p := range ps {
-					out[i] = geom.Point3{X: p.X, Y: p.Y, Z: -p.Z}
+			for _, pol := range []Policy{PolicyQuad, PolicyOctagon, PolicyAuto, PolicyCoarse} {
+				label := fmt.Sprintf("%s/%v n=%d", name, pol, n)
+				culled := Points3(pol, 1, pts)
+				if len(culled) > len(pts) {
+					t.Fatalf("%s: culled grew", label)
 				}
-				return out
-			}
-			if _, err := native.Hull3DFrom(42, flip(pts), flip(culled), nil); err != nil {
-				t.Fatalf("%s n=%d flipped: %v", name, n, err)
+				survivorsAnswer(t, label, pts, culled)
+				flipped := Points3(pol, 1, flip3(pts))
+				if pol == PolicyQuad || pol == PolicyOctagon {
+					flipped = flip3(culled)
+				}
+				survivorsAnswer(t, label+" flipped", flip3(pts), flipped)
 			}
 		}
+	}
+}
+
+// survivorsAnswer requires the survivors' own hull to carry the full
+// input's upper faces and to pass the cap oracle over the full input, so
+// a pass does not rest on Hull3DFrom's full-input retry. Inputs without
+// a 3-d hull only need Hull3DFrom to answer.
+func survivorsAnswer(t *testing.T, label string, full, culled []geom.Point3) {
+	t.Helper()
+	if _, err := native.Hull3DFrom(42, full, culled, nil); err != nil {
+		t.Fatalf("%s: Hull3DFrom over the survivors: %v", label, err)
+	}
+	want, err := hull3d.Incremental(rng.New(1), full)
+	if err != nil {
+		return
+	}
+	got, err := hull3d.Incremental(rng.New(2), culled)
+	if err != nil {
+		t.Fatalf("%s: no hull of the %d survivors: %v", label, len(culled), err)
+	}
+	if err := sameUpper(want, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := unsorted.CheckCaps3D(full, unsorted.CapsFromHull(full, got)); err != nil {
+		t.Fatalf("%s: survivor caps fail over the full input: %v", label, err)
+	}
+}
+
+// sameUpper reports whether two hulls have the same upper hull as a
+// surface, whatever their triangulations: every upper-face vertex of
+// each lies inside the other's xy-shadow and not above its upper faces
+// (exact predicates). An upper hull is the least concave function over
+// the shadow of its vertices, so both directions force equality.
+func sameUpper(a, b hull3d.Hull) error {
+	for _, dir := range [2][2]hull3d.Hull{{a, b}, {b, a}} {
+		from, to := dir[0], dir[1]
+		faces := to.UpperFaces()
+		for _, f := range from.UpperFaces() {
+			for _, v := range [3]geom.Point3{from.Pts[f.A], from.Pts[f.B], from.Pts[f.C]} {
+				fi := hull3d.FaceAbove(to.Pts, faces, v.X, v.Y)
+				if fi < 0 {
+					return fmt.Errorf("upper vertex %v outside the other hull's xy-shadow", v)
+				}
+				g := faces[fi]
+				if geom.Orientation3(to.Pts[g.A], to.Pts[g.B], to.Pts[g.C], v) > 0 {
+					return fmt.Errorf("upper vertex %v above the other hull's upper face", v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestUpperCull3D: the 3-d upper filter (auto resolves to it) drops more
+// of a ball than the octahedron, keeps every point whose position it
+// cannot certify, and is a pure function of (seed, pts).
+func TestUpperCull3D(t *testing.T) {
+	ball := workload.Ball(3, 5000)
+	oct := Points3(PolicyOctagon, 1, ball)
+	up := Points3(PolicyCoarse, 1, ball)
+	if len(up) >= len(oct) {
+		t.Fatalf("upper filter kept %d of %d ball points, octahedron %d", len(up), len(ball), len(oct))
+	}
+	if auto := Points3(PolicyAuto, 1, ball); !slices.Equal(auto, up) {
+		t.Fatalf("auto must filter 3-d inputs as coarse")
+	}
+	if again := Points3(PolicyCoarse, 1, ball); !slices.Equal(again, up) {
+		t.Fatalf("upper filter not deterministic for a fixed seed")
+	}
+	// A flat sample has no 3-d hull: keep everything.
+	flat := make([]geom.Point3, 500)
+	for i := range flat {
+		x, y := float64(i%23), float64(i%37)
+		flat[i] = geom.Point3{X: x, Y: y, Z: 2*x - y}
+	}
+	if got := Points3(PolicyCoarse, 1, flat); &got[0] != &flat[0] {
+		t.Fatalf("flat input: %d of %d culled", len(flat)-len(got), len(flat))
 	}
 }
 
@@ -269,19 +355,29 @@ func TestCulls3DInterior(t *testing.T) {
 	}
 }
 
-// TestNonFiniteNeverCulled3D mirrors the 2-d guarantee.
+// TestNonFiniteNeverCulled3D mirrors the 2-d guarantee, for NaN in
+// every coordinate (NaN never wins the extreme reduction, so the filters
+// still run around it) and for an infinite extreme (filters disabled).
 func TestNonFiniteNeverCulled3D(t *testing.T) {
-	pts := workload.Ball(11, 500)
-	pts = append(pts, geom.Point3{X: math.NaN(), Y: 0, Z: 0}, geom.Point3{X: 0, Y: math.Inf(1), Z: 0})
-	culled := Points3(PolicyOctagon, 1, pts)
-	found := 0
-	for _, p := range culled {
-		if !p.IsFinite() {
-			found++
-		}
+	nan := math.NaN()
+	bad := [][]geom.Point3{
+		{{X: nan, Y: 0, Z: 0}, {X: 0, Y: nan, Z: 0}, {X: 0, Y: 0, Z: nan}},
+		{{X: nan, Y: 0, Z: 0}, {X: 0, Y: math.Inf(1), Z: 0}},
 	}
-	if found != 2 {
-		t.Fatalf("%d of 2 non-finite 3-d points culled away", 2-found)
+	for _, b := range bad {
+		pts := append(workload.Ball(11, 500), b...)
+		for _, pol := range []Policy{PolicyOctagon, PolicyCoarse} {
+			culled := Points3(pol, 1, pts)
+			found := 0
+			for _, p := range culled {
+				if !p.IsFinite() {
+					found++
+				}
+			}
+			if found != len(b) {
+				t.Fatalf("%v: %d of %d non-finite 3-d points culled away", pol, len(b)-found, len(b))
+			}
+		}
 	}
 }
 
@@ -302,8 +398,13 @@ func TestPolicyRoundTrip(t *testing.T) {
 	if PolicyAuto.Resolve() != PolicyOctagon {
 		t.Fatalf("auto must resolve to octagon")
 	}
-	if PolicyOff.Resolve() != PolicyOff {
-		t.Fatalf("off must resolve to itself")
+	if PolicyAuto.Resolve3() != PolicyCoarse {
+		t.Fatalf("auto must resolve to coarse in 3-d")
+	}
+	for _, pol := range []Policy{PolicyOff, PolicyQuad, PolicyOctagon, PolicyCoarse} {
+		if pol.Resolve() != pol || pol.Resolve3() != pol {
+			t.Fatalf("%v must resolve to itself", pol)
+		}
 	}
 }
 
@@ -360,4 +461,126 @@ func TestAdversarialNearBoundary(t *testing.T) {
 			t.Fatalf("%v: near-boundary hull changed", pol)
 		}
 	}
+}
+
+// decodePoints3 maps fuzz bytes to a 3-d point set: a header byte, then 3
+// bytes per point on a 16-step grid (exact in float64, so duplicates and
+// collinear and coplanar runs are common). Header bits 0-1 pick the z
+// mode — raw, one tilted plane, or two parallel tilted slabs — bit 2
+// halves every coordinate, and bits 3 and 4 plant a NaN and a +Inf.
+func decodePoints3(data []byte) []geom.Point3 {
+	if len(data) == 0 {
+		return nil
+	}
+	head, body := data[0], data[1:]
+	n := min(len(body)/3, 160)
+	pts := make([]geom.Point3, n)
+	for i := range pts {
+		x, y, z := float64(body[3*i]%16), float64(body[3*i+1]%16), float64(body[3*i+2]%16)
+		switch head & 3 {
+		case 1:
+			z = x + 2*y
+		case 2:
+			z = x + 2*y - 16*float64(body[3*i+2]&1)
+		}
+		pts[i] = geom.Point3{X: x, Y: y, Z: z}
+		if head&4 != 0 {
+			pts[i] = geom.Point3{X: x / 2, Y: y / 2, Z: z / 2}
+		}
+	}
+	if head&8 != 0 && n > 0 {
+		pts[n/2].Z = math.NaN()
+	}
+	if head&16 != 0 && n > 0 {
+		pts[n/3].X = math.Inf(1)
+	}
+	return pts
+}
+
+// FuzzCullParity3D: the 3-d filters on arbitrary inputs. For every policy
+// the survivors are an in-order subsequence of the input and every
+// non-finite point survives. On finite inputs with a 3-d hull, the
+// survivors' hull (when they have one) has the full input's upper faces,
+// and Hull3DFrom over the survivors answers, non-degenerate whenever the
+// unculled run is.
+func FuzzCullParity3D(f *testing.F) {
+	r := rng.New(5)
+	for _, head := range []byte{0, 1, 2, 4, 6, 8, 16} {
+		for _, n := range []int{8, 40, 150} {
+			data := []byte{head}
+			for range 3 * n {
+				data = append(data, byte(r.Intn(256)))
+			}
+			f.Add(uint64(head)+1, data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		pts := decodePoints3(data)
+		finite := true
+		for _, p := range pts {
+			finite = finite && p.IsFinite()
+		}
+		nonFinite := func(ps []geom.Point3) int {
+			c := 0
+			for _, p := range ps {
+				if !p.IsFinite() {
+					c++
+				}
+			}
+			return c
+		}
+		unculled, unculledErr := native.Hull3D(seed, pts, nil)
+		var full hull3d.Hull
+		fullErr := unculledErr
+		if finite {
+			full, fullErr = hull3d.Incremental(rng.New(seed), pts)
+		}
+		for _, pol := range []Policy{PolicyQuad, PolicyOctagon, PolicyCoarse} {
+			culled := Points3(pol, seed, pts)
+			j := 0
+			for _, p := range pts {
+				if j < len(culled) && sameBits(culled[j], p) {
+					j++
+				}
+			}
+			if j != len(culled) {
+				t.Fatalf("%v: survivors are not an in-order subsequence (%d/%d matched)", pol, j, len(culled))
+			}
+			if nonFinite(culled) != nonFinite(pts) {
+				t.Fatalf("%v: a non-finite point was culled", pol)
+			}
+			got, err := native.Hull3DFrom(seed, pts, culled, nil)
+			if (err == nil) != (unculledErr == nil) {
+				t.Fatalf("%v: error parity: culled %v, unculled %v", pol, err, unculledErr)
+			}
+			if !finite {
+				continue
+			}
+			if degenerate(got) && !degenerate(unculled) {
+				t.Fatalf("%v: culled run fell to the degenerate cap, unculled has %d real facets", pol, len(unculled.Facets))
+			}
+			if fullErr != nil {
+				continue
+			}
+			if h, err := hull3d.Incremental(rng.New(seed+1), culled); err == nil {
+				if err := sameUpper(full, h); err != nil {
+					t.Fatalf("%v: %d survivors of %d: %v", pol, len(culled), len(pts), err)
+				}
+			} else if pol != PolicyCoarse {
+				t.Fatalf("%v: the octahedron keeps conv, yet its %d survivors have no hull: %v", pol, len(culled), err)
+			}
+		}
+	})
+}
+
+func sameBits(a, b geom.Point3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// degenerate reports whether any point of res sits under the degenerate
+// top cap rather than a real facet.
+func degenerate(res unsorted.Result3D) bool {
+	return slices.ContainsFunc(res.Facets, func(c lp.Solution3D) bool { return c.Degenerate() })
 }

@@ -167,6 +167,17 @@ func TestPlanUnsortedStaysTyped(t *testing.T) {
 	}
 }
 
+// degenerate reports whether any point of res sits under the degenerate
+// top cap rather than a real facet.
+func degenerate(res unsorted.Result3D) bool {
+	for _, c := range res.Facets {
+		if c.Degenerate() {
+			return true
+		}
+	}
+	return false
+}
+
 func TestPlan3D(t *testing.T) {
 	const n = 400
 	ball := workload.Ball(8, n)
@@ -198,12 +209,25 @@ func TestPlan3D(t *testing.T) {
 					if ran && input.name == "ball" && in.Culled() == 0 {
 						t.Fatal("filter culled nothing from a ball")
 					}
+					// The upper filter also drops the lower half of a
+					// sphere, all of whose points are hull vertices.
+					if ran && pol == cull.PolicyCoarse && input.name == "sphere" && in.Culled() < n/4 {
+						t.Fatalf("upper filter culled %d of %d sphere points, want the lower half", in.Culled(), n)
+					}
 					res, _, err := p.Run3D(context.Background(), in)
 					if err != nil {
 						t.Fatalf("Run3D: %v", err)
 					}
 					if err := unsorted.CheckCaps3D(pts, res); err != nil {
 						t.Fatalf("caps fail over the full input: %v", err)
+					}
+					unculled := plan(t, be, engine.AlgoHull2D, cull.PolicyOff)
+					base, _, err := unculled.Run3D(context.Background(), engine.Input3D{Full: pts, Work: pts})
+					if err != nil {
+						t.Fatalf("unculled Run3D: %v", err)
+					}
+					if degenerate(res) && !degenerate(base) {
+						t.Fatalf("culled run fell to the degenerate cap; the unculled run has %d real facets", len(base.Facets))
 					}
 				})
 			}

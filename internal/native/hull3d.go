@@ -25,43 +25,48 @@ func Hull3D(seed uint64, pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, e
 
 // Hull3DFrom computes the Result3D cap structure for full while running
 // the incremental hull only over culled — the serve layer's post-culling
-// entry point. culled must satisfy conv(culled) == conv(full) (the
-// internal/cull invariant); the cap assignment (unsorted.CapsFromHull),
-// the oracle gate (CheckCaps3D) and the degenerate fallback all run over
-// the FULL point set, so FacetOf keeps input length and every point's
-// cap is a genuine upper facet above it. The GEOMETRIC hull is identical
-// to a full-input run; the facet decomposition need not be bit-identical
-// — insertion order differs, so coplanar upper faces may triangulate
-// differently and tie-broken FaceAbove picks may move, the same
-// seed-dependence the 3-d parity suite already tolerates. Correctness is
-// what CheckCaps3D proves, over the full input. obs may be nil.
+// entry point. culled must have the same upper hull as full and the same
+// xy-shadow (what every internal/cull filter keeps; the 3-d upper filter
+// may drop points of the lower hull). The cap assignment
+// (unsorted.CapsFromHull), the oracle gate (CheckCaps3D) and the
+// degenerate fallback all run over the FULL point set, so FacetOf keeps
+// input length and every point's cap is a genuine upper facet above it.
+// The upper hull is identical to a full-input run; the facet
+// decomposition need not be bit-identical — insertion order differs, so
+// coplanar upper faces may triangulate differently and tie-broken
+// FaceAbove picks may move, the same seed-dependence the 3-d parity suite
+// already tolerates. A filter never changes which rung answers: when the
+// survivors are flat or their caps fail the oracle, the hull is rebuilt
+// from full before the degenerate rung is tried. Correctness is what
+// CheckCaps3D proves, over the full input. obs may be nil.
 func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
 	const op = "native.Hull3DFrom"
 	if err := hullerr.CheckFinite3D(op, full); err != nil {
 		return unsorted.Result3D{}, err
 	}
 	n := len(full)
-	res := unsorted.Result3D{FacetOf: make([]int, n)}
 	if n == 0 {
-		return res, nil
+		return unsorted.Result3D{FacetOf: []int{}}, nil
 	}
 	o := sink{obs}
 	endCaps := o.span("native-caps")
 	defer endCaps()
-	if h, err := hull3d.Incremental(rng.New(seed), culled); err == nil {
-		res = unsorted.CapsFromHull(full, h)
-		if err := unsorted.CheckCaps3D(full, res); err == nil {
-			o.charge(n)
-			return res, nil
+	work := [][]geom.Point3{culled}
+	if len(culled) < n {
+		work = append(work, full)
+	}
+	for _, pts := range work {
+		if h, err := hull3d.Incremental(rng.New(seed), pts); err == nil {
+			res := unsorted.CapsFromHull(full, h)
+			if unsorted.CheckCaps3D(full, res) == nil {
+				o.charge(n)
+				return res, nil
+			}
 		}
-		res = unsorted.Result3D{FacetOf: make([]int, n)}
 	}
 	// Degenerate rung: every point receives the horizontal cap through the
 	// global top point (no point lies above z = max z).
-	res.Facets = []lp.Solution3D{unsorted.TopCap(full)}
-	for p := range res.FacetOf {
-		res.FacetOf[p] = 0
-	}
+	res := unsorted.Result3D{Facets: []lp.Solution3D{unsorted.TopCap(full)}, FacetOf: make([]int, n)}
 	if err := unsorted.CheckCaps3D(full, res); err != nil {
 		return unsorted.Result3D{}, hullerr.New(hullerr.Internal, op,
 			"degenerate cap construction failed the oracle for %d points: %v", n, err)

@@ -12,9 +12,12 @@ import (
 	"testing"
 
 	"inplacehull/internal/cull"
+	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
+	"inplacehull/internal/hull3d"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/obs"
+	"inplacehull/internal/rng"
 	"inplacehull/internal/workload"
 )
 
@@ -119,7 +122,7 @@ func TestCull3D(t *testing.T) {
 	if res.Culled <= 0 {
 		t.Fatal("native 3-d ball query culled nothing")
 	}
-	if want := nativeFacets(t, pts, 3, cull.PolicyOctagon); res.N != len(pts) || res.Facets != want {
+	if want := nativeFacets(t, pts, 3, cull.PolicyAuto); res.N != len(pts) || res.Facets != want {
 		t.Fatalf("lifted 3-d result: N=%d facets=%d, want %d/%d", res.N, res.Facets, len(pts), want)
 	}
 	counted, err := s.Query3D(context.Background(),
@@ -130,6 +133,65 @@ func TestCull3D(t *testing.T) {
 	if counted.Culled != 0 {
 		t.Fatalf("counted 3-d query culled %d points; the filter must skip it", counted.Culled)
 	}
+}
+
+// TestCullHTTP3DAuto: an inline 3-d query with no cull field runs the
+// 3-d default, the sampled upper-hull filter: its X-Hull-Culled reports
+// most of a ball dropped (the octahedron drops about 30%), and its facet
+// count lies in the bracket a correct answer over the full input may
+// report.
+func TestCullHTTP3DAuto(t *testing.T) {
+	s := small(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	pts := workload.Ball(43, 2048)
+	coords := make([][]float64, len(pts))
+	for i, p := range pts {
+		coords[i] = []float64{p.X, p.Y, p.Z}
+	}
+	body, _ := json.Marshal(map[string]any{"points": coords, "seed": 5, "no_cache": true})
+	resp, err := http.Post(ts.URL+"/v1/hull3d", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out httpResult
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, err)
+	}
+	var culled, n int
+	if _, err := fmt.Sscanf(resp.Header.Get("X-Hull-Culled"), "%d/%d", &culled, &n); err != nil || 2*culled < n || n != len(pts) {
+		t.Fatalf("X-Hull-Culled = %q, want more than half of %d", resp.Header.Get("X-Hull-Culled"), len(pts))
+	}
+	lo, hi := facetBracket(t, pts)
+	if out.Facets < lo || out.Facets > hi {
+		t.Fatalf("%d facets, want %d..%d", out.Facets, lo, hi)
+	}
+}
+
+// facetBracket bounds the facet count of a correct 3-d answer: which face
+// a hull vertex picks depends on the insertion order, but every other
+// point lies strictly inside the xy-shadow of exactly one upper face, so
+// the faces those points use are a lower bound, and all upper faces plus
+// the degenerate top cap an upper bound.
+func facetBracket(t *testing.T, pts []geom.Point3) (int, int) {
+	t.Helper()
+	h, err := hull3d.Incremental(rng.New(1), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := h.UpperFaces()
+	vertex := map[int]bool{}
+	for _, v := range h.Vertices() {
+		vertex[v] = true
+	}
+	used := map[int]bool{}
+	for i, p := range pts {
+		if f := hull3d.FaceAbove(pts, upper, p.X, p.Y); !vertex[i] && f >= 0 {
+			used[f] = true
+		}
+	}
+	return len(used), len(upper) + 1
 }
 
 // TestCullHTTP drives the wire format: the cull field, the culled body

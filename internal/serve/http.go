@@ -46,8 +46,9 @@ type httpQuery struct {
 	// engine). The answer is canonical either way; the backends differ in
 	// speed and in what their reports can say.
 	Backend string `json:"backend,omitempty"`
-	// Cull: "" or "auto" (server default, octagon unless configured
-	// otherwise), "off", "quad", "octagon", "coarse" — the admission-side
+	// Cull: "" or "auto" (server default: unless configured otherwise,
+	// octagon in 2-d and coarse in 3-d), "off", "quad", "octagon",
+	// "coarse" — the admission-side
 	// interior-point filter (see internal/cull). Never changes the answer;
 	// the discard count is echoed as the X-Hull-Culled response header.
 	Cull string `json:"cull,omitempty"`

@@ -86,12 +86,14 @@ type Query struct {
 	// their own backend.
 	Backend string
 	// Cull selects the admission-side interior-point filter by wire value:
-	// "" or "auto" defers to the server default (Config.Cull, octagon
-	// unless configured otherwise), "off" disables culling, "quad" /
+	// "" or "auto" defers to the server default (Config.Cull; unless
+	// configured otherwise, octagon in 2-d and the sampled upper-hull
+	// filter in 3-d), "off" disables culling, "quad" /
 	// "octagon" / "coarse" pick a filter (see internal/cull). Any other
 	// value fails typed InvalidInput. The resolved policy is part of the
 	// cache key. Culling never changes an answer's hull — the filter
-	// discards only points certainly strictly interior — but when it
+	// discards only points certainly strictly interior (3-d coarse:
+	// certainly strictly below the upper hull) — but when it
 	// discards anything the chain is reported in canonical form: the
 	// counted backend's occasional collinear chain subdivisions are
 	// canonicalized away. Sorted-input algorithms (presorted/logstar)
@@ -157,11 +159,12 @@ type request struct {
 }
 
 // plan resolves the query's wire backend and cull policy ("auto" and
-// the absent field defer to the server defaults) and applies its
+// the absent field defer to the server defaults; an "auto" left after
+// that resolves per dimension, see cull.Policy.Resolve3) and applies its
 // exactness and tolerance overrides to the server policy (the native
 // backend is always exact and ignores them). The result is the engine
 // plan that filters, executes and lifts the request.
-func (s *Server) plan(op string, q Query) (engine.Plan, error) {
+func (s *Server) plan(op string, q Query, dim int) (engine.Plan, error) {
 	b, ok := resilient.ParseBackend(q.Backend)
 	if !ok {
 		return engine.Plan{}, hullerr.New(hullerr.InvalidInput, op, "unknown backend %q", q.Backend)
@@ -178,6 +181,11 @@ func (s *Server) plan(op string, q Query) (engine.Plan, error) {
 	if c == cull.PolicyAuto {
 		c = s.cfg.Cull
 	}
+	if dim == 3 {
+		c = c.Resolve3()
+	} else {
+		c = c.Resolve()
+	}
 	pol := s.cfg.Policy
 	if q.RequireExact {
 		pol.RequireExact = true
@@ -185,7 +193,7 @@ func (s *Server) plan(op string, q Query) (engine.Plan, error) {
 	if q.ApproxEps > 0 {
 		pol.ApproxEps = q.ApproxEps
 	}
-	return engine.Plan{Backend: b, Algo: engine.Algo(q.Algo), Cull: c.Resolve(),
+	return engine.Plan{Backend: b, Algo: engine.Algo(q.Algo), Cull: c,
 		CullSeed: q.Seed, Seed: q.Seed, Policy: pol}, nil
 }
 
@@ -230,7 +238,7 @@ func (s *Server) Query2D(ctx context.Context, q Query) (Result, error) {
 		return Result{}, hullerr.New(hullerr.InvalidInput, op, "3-d points on the 2-d endpoint")
 	}
 	var err error
-	if r.plan, err = s.plan(op, q); err != nil {
+	if r.plan, err = s.plan(op, q, r.dim); err != nil {
 		return Result{}, err
 	}
 	var dsHash hullhash.Sum
@@ -317,7 +325,7 @@ func (s *Server) Query3D(ctx context.Context, q Query) (Result, error) {
 		return Result{}, hullerr.New(hullerr.InvalidInput, op, "2-d points on the 3-d endpoint")
 	}
 	var err error
-	if r.plan, err = s.plan(op, q); err != nil {
+	if r.plan, err = s.plan(op, q, r.dim); err != nil {
 		return Result{}, err
 	}
 	var dsHash hullhash.Sum

@@ -114,13 +114,16 @@ type Config struct {
 	Backend resilient.Backend
 	// Cull is the admission-side interior-point filter queries default to
 	// when they do not name one (per-query wire value "cull"). The zero
-	// value (cull.PolicyAuto) resolves to the octagon filter — culling is
-	// on by default because it can never change an answer (the
-	// internal/cull invariant, gated by its parity suite): points certainly
-	// strictly inside the hull are discarded on the cache-miss path before
-	// batching and execution, so effective-n, not raw-n, drives batch
-	// sizing, dispatch bypass, and backend cost. Set cull.PolicyOff to
-	// disable. E22 measures the end-to-end effect per workload.
+	// value (cull.PolicyAuto) resolves per dimension: to the octagon
+	// filter in 2-d (cull.Policy.Resolve) and to the sampled upper-hull
+	// filter in 3-d (cull.Policy.Resolve3). Culling is on by default
+	// because it can never change an answer (the internal/cull invariant,
+	// gated by its parity suites): points certainly strictly inside the
+	// hull — in 3-d coarse, certainly strictly below its upper hull — are
+	// discarded on the cache-miss path before batching and execution, so
+	// effective-n, not raw-n, drives batch sizing, dispatch bypass, and
+	// backend cost. Set cull.PolicyOff to disable. E22 measures the
+	// end-to-end effect per workload.
 	Cull cull.Policy
 	// Metrics, when non-nil, receives the serving counters
 	// (inplacehull_serve_*) for the Prometheus exporter.

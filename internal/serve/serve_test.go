@@ -82,7 +82,8 @@ func TestQuery2DMatchesOracle(t *testing.T) {
 }
 
 // nativeFacets is the native oracle's facet count for a served native
-// 3-d query: the same seed, and the same cull the server applies.
+// 3-d query: the same seed, and the same cull the server applies
+// (cull.PolicyAuto for the server default).
 func nativeFacets(t *testing.T, pts []geom.Point3, seed uint64, pol cull.Policy) int {
 	t.Helper()
 	var res unsorted.Result3D
@@ -107,7 +108,7 @@ func TestQuery3DBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := nativeFacets(t, pts, 3, cull.PolicyOctagon); res.N != 600 || res.Facets != want {
+	if want := nativeFacets(t, pts, 3, cull.PolicyAuto); res.N != 600 || res.Facets != want {
 		t.Fatalf("N=%d facets=%d, want 600/%d", res.N, res.Facets, want)
 	}
 }

@@ -90,16 +90,19 @@ type CullPolicy = cull.Policy
 
 const (
 	// CullAuto defers to the entry point's default — at the library
-	// level, off (the serving layer resolves its own auto to octagon).
+	// level, off (the serving layer resolves its own auto per dimension:
+	// octagon in 2-d, coarse in 3-d).
 	CullAuto = cull.PolicyAuto
 	// CullOff disables the filter explicitly.
 	CullOff = cull.PolicyOff
 	// CullQuad filters against the quadrilateral of the 4 axis extremes.
 	CullQuad = cull.PolicyQuad
 	// CullOctagon filters against the octagon of the 8 directional
-	// extremes — the serving layer's default.
+	// extremes — the serving layer's 2-d default.
 	CullOctagon = cull.PolicyOctagon
 	// CullCoarse filters against an exact hull of a seeded ~√n sample.
+	// Its 3-d form, which drops the points below the sample's upper hull,
+	// is the serving layer's 3-d default; root 3-d runs do not cull.
 	CullCoarse = cull.PolicyCoarse
 )
 
