@@ -32,13 +32,17 @@ type Chain struct {
 }
 
 // FromSorted builds the chain over points already sorted by x (monotone
-// scan, used when assembling group hulls sequentially).
+// scan, used when assembling group hulls sequentially). Of ==-equal
+// points (an exact duplicate, or −0 against +0) it keeps the first.
 func FromSorted(pts []geom.Point) Chain {
 	if len(pts) <= 1 {
 		return Chain{V: append([]geom.Point(nil), pts...)}
 	}
 	var h []geom.Point
 	for _, p := range pts {
+		if len(h) > 0 && p == h[len(h)-1] {
+			continue
+		}
 		for len(h) >= 2 && geom.Orientation(h[len(h)-2], h[len(h)-1], p) >= 0 {
 			h = h[:len(h)-1]
 		}
@@ -62,21 +66,30 @@ func FromSorted(pts []geom.Point) Chain {
 // "vertex cap" with the column's top point absent from the chain. A
 // strict monotone pass over the chain vertices plus the extreme columns'
 // top points repairs both, and is exactly hull2d.UpperHull restricted to
-// known hull candidates — O(h log h), not O(n log n).
+// known hull candidates — O(h) when the computed chain is sorted, as
+// every strict chain is. Where a column top equals a computed vertex, the
+// computed vertex is kept.
 func Canonical(pts, computed []geom.Point) []geom.Point {
 	if len(pts) == 0 {
 		return nil
 	}
-	cand := append([]geom.Point(nil), computed...)
 	// pts is sorted by (x, y): the top of the first x-column is the last
 	// point of the leading equal-x run; the top of the last column is the
-	// final point.
+	// final point. Each goes in behind every computed vertex it can equal,
+	// so sorted computed vertices leave cand sorted (SortLex only scans
+	// it) and the stable sort and FromSorted keep the computed vertex.
 	i := 1
 	for i < len(pts) && pts[i].X == pts[0].X {
 		i++
 	}
-	cand = append(cand, pts[i-1], pts[len(pts)-1])
-	sort.Slice(cand, func(a, b int) bool { return geom.LexLess(cand[a], cand[b]) })
+	j := 0
+	for j < len(computed) && computed[j].X == pts[0].X {
+		j++
+	}
+	cand := make([]geom.Point, 0, len(computed)+2)
+	cand = append(append(append(cand, computed[:j]...), pts[i-1]), computed[j:]...)
+	cand = append(cand, pts[len(pts)-1])
+	geom.SortLex(cand)
 	return FromSorted(cand).V
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sort"
 
 	"inplacehull/internal/chain"
 	"inplacehull/internal/cull"
@@ -182,7 +181,7 @@ func (p Plan) hull2(ctx context.Context, in Input2D) (Result2D, resilient.Report
 		return res, rep, err
 	}
 	sorted := append([]geom.Point(nil), in.Full...)
-	sort.Slice(sorted, func(i, j int) bool { return geom.LexLess(sorted[i], sorted[j]) })
+	geom.SortLex(sorted)
 	res.Chain, res.Edges = chain.Canonical(sorted, res.Chain), nil
 	return res, rep, nil
 }

@@ -21,9 +21,17 @@ var benchInputs = []struct {
 var located []int
 
 // BenchmarkChain2D is the native hull step of a 2-d miss: sort, dedupe,
-// monotone chain.
+// monotone chain. The sizes are a culled survivor set (400), the inline
+// request (4096, h = n) and the stream dataset (65536).
 func BenchmarkChain2D(b *testing.B) {
-	for _, in := range benchInputs {
+	for _, in := range []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"disk-400", workload.Disk(1, 400)},
+		{"circle-4096", workload.Circle(1, 4096)},
+		{"disk-65536", workload.Disk(1, 65536)},
+	} {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {

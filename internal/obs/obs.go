@@ -92,7 +92,7 @@ var Registry = map[string]Meta{
 	"lp-iter": {Ref: "Lemma 4.2", Desc: "one sample/solve/survive round of the bridge LP"},
 	// Native (wall-time) backend phases: spans carry elapsed time, charges
 	// carry item counts with steps == 0 (internal/native).
-	"native-sort":   {Ref: "native", Desc: "parallel merge sort + dedupe of the input copy"},
+	"native-sort":   {Ref: "native", Desc: "radix sort (geom.SortLex) + dedupe of the input copy"},
 	"native-chain":  {Ref: "native", Desc: "divide-and-conquer monotone chain scan"},
 	"native-locate": {Ref: "native", Desc: "parallel covering-edge binary search"},
 	"native-caps":   {Ref: "native", Desc: "incremental 3-d hull lifted to caps, oracle-checked"},

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sort"
 	"time"
 
 	"inplacehull/internal/chain"
@@ -89,7 +88,7 @@ func (s *Server) Scatter2D(ctx context.Context, req shard.Request) (shard.Respon
 	// coordinator sends sorted points, but re-sorting a copy keeps the
 	// endpoint's contract independent of the caller's discipline).
 	pts := append([]geom.Point(nil), req.Points...)
-	sort.Slice(pts, func(i, j int) bool { return geom.LexLess(pts[i], pts[j]) })
+	geom.SortLex(pts)
 	return shard.Response{
 		Shard: req.Shard,
 		Chain: chain.Canonical(pts, res.Chain),

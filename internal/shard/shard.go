@@ -41,7 +41,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,12 +199,7 @@ func SplitX(pts []geom.Point, k int) Plan {
 		k = 1
 	}
 	sorted := append([]geom.Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
+	geom.SortLex(sorted)
 	p := Plan{Sorted: sorted, Lo: make([]int, k), Hi: make([]int, k)}
 	n := len(sorted)
 	start := 0

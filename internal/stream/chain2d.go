@@ -54,7 +54,7 @@ func newDataset2(name string, cfg Config, pts []geom.Point) (*Dataset, Delta, er
 		d.counts[p]++
 		d.liveN++
 	}
-	sortLex(d.order)
+	geom.SortLex(d.order)
 	chain, _, err := engine.NativeChain2D(context.Background(), pts, cfg.Sink)
 	if err != nil {
 		return nil, Delta{}, err
@@ -423,7 +423,7 @@ func (d *Dataset) liveDistinct2() []geom.Point {
 			pend = append(pend, p)
 		}
 	}
-	sortLex(pend)
+	geom.SortLex(pend)
 	out := make([]geom.Point, 0, d.distin)
 	i, k := 0, 0
 	for i < len(d.order) || k < len(pend) {

@@ -587,11 +587,6 @@ func (s *Store) Delete(name string) (Delta, bool) {
 	return tomb, true
 }
 
-// sortLex sorts 2-d points lexicographically in place.
-func sortLex(pts []geom.Point) {
-	sort.Slice(pts, func(i, j int) bool { return geom.LexLess(pts[i], pts[j]) })
-}
-
 // lexLess3 orders 3-d points lexicographically.
 func lexLess3(p, q geom.Point3) bool {
 	if p.X != q.X {
