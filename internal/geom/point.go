@@ -59,6 +59,18 @@ func LexLess(p, q Point) bool {
 	return p.Y < q.Y
 }
 
+// LexCmp is LexLess as a three-way comparison, for slices.SortFunc and
+// slices.SortStableFunc: −0 and +0 compare equal.
+func LexCmp(p, q Point) int {
+	switch {
+	case LexLess(p, q):
+		return -1
+	case LexLess(q, p):
+		return 1
+	}
+	return 0
+}
+
 // Line is the line y = M·x + B. Vertical lines are not representable; the
 // algorithms that use Line (bridge finding via LP duality) only ever
 // construct lines through two points of distinct x-coordinates.
