@@ -21,8 +21,8 @@
 //     input's shape where the fixed octagon cannot.
 //
 //   - Sampled upper hull (PolicyCoarse, 3-d): the same seeded sample,
-//     widened by the 6 axis extremes, built into a 3-d hull
-//     (hull3d.Incremental); a point is discarded when it lies certainly
+//     widened by the 6 axis extremes, built into a 3-d upper hull
+//     (hull3d.Upper); a point is discarded when it lies certainly
 //     strictly below one of the sample's upper faces, inside that face's
 //     xy-projection. Every 3-d answer is a set of upper caps, so points
 //     under the upper hull are dead weight even when they are extreme
@@ -261,7 +261,7 @@ func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point
 			return pts
 		}
 	}
-	h, err := hull3d.Incremental(r, sample)
+	h, err := hull3d.Upper(sample)
 	if err != nil {
 		return pts
 	}

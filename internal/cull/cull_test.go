@@ -288,30 +288,8 @@ func survivorsAnswer(t *testing.T, label string, full, culled []geom.Point3) {
 	}
 }
 
-// sameUpper reports whether two hulls have the same upper hull as a
-// surface, whatever their triangulations: every upper-face vertex of
-// each lies inside the other's xy-shadow and not above its upper faces
-// (exact predicates). An upper hull is the least concave function over
-// the shadow of its vertices, so both directions force equality.
-func sameUpper(a, b hull3d.Hull) error {
-	for _, dir := range [2][2]hull3d.Hull{{a, b}, {b, a}} {
-		from, to := dir[0], dir[1]
-		faces := to.UpperFaces()
-		for _, f := range from.UpperFaces() {
-			for _, v := range [3]geom.Point3{from.Pts[f.A], from.Pts[f.B], from.Pts[f.C]} {
-				fi := hull3d.FaceAbove(to.Pts, faces, v.X, v.Y)
-				if fi < 0 {
-					return fmt.Errorf("upper vertex %v outside the other hull's xy-shadow", v)
-				}
-				g := faces[fi]
-				if geom.Orientation3(to.Pts[g.A], to.Pts[g.B], to.Pts[g.C], v) > 0 {
-					return fmt.Errorf("upper vertex %v above the other hull's upper face", v)
-				}
-			}
-		}
-	}
-	return nil
-}
+// sameUpper compares two hulls' upper surfaces in any triangulation.
+var sameUpper = hull3d.SameUpper
 
 // TestUpperCull3D: the 3-d upper filter (auto resolves to it) drops more
 // of a ball than the octahedron, keeps every point whose position it

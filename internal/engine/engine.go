@@ -30,8 +30,9 @@ type NativeEngine struct {
 	sink pram.Sink
 }
 
-// Native returns the direct engine. seed drives the only randomness the
-// native path has (the 3-d incremental insertion order); sink, when
+// Native returns the direct engine. The native path consumes no
+// randomness (its 3-d build follows the input order), so seed is carried
+// but unused; sink, when
 // non-nil, receives wall-time spans and steps==0 item charges. The native
 // path needs no supervision — its algorithms are deterministic and
 // oracle-checked where randomness is involved — so options and Policy are

@@ -73,8 +73,9 @@ type Plan struct {
 	Cull cull.Policy
 	// CullSeed seeds the coarse filter's sample.
 	CullSeed uint64
-	// Seed drives the native backend's randomness (the 3-d insertion
-	// order).
+	// Seed is handed to the native backend, which no longer consumes
+	// it: the native 3-d build is a function of the input order. It
+	// stays in the request and in serve's result-cache key.
 	Seed uint64
 	// Sink receives the native backend's wall-time spans. Counted runs
 	// report through Machine's own sink.

@@ -22,6 +22,31 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkUpper is the upper-hull builder on the inputs of
+// BenchmarkIncremental, plus the sphere and the cap at 16 384 points,
+// where h ≈ n and every outside set is re-partitioned many times.
+func BenchmarkUpper(b *testing.B) {
+	inputs := []struct {
+		name string
+		pts  []geom.Point3
+	}{
+		{"ball/1024", workload.Ball(1, 1<<10)},
+		{"ball/8192", workload.Ball(1, 1<<13)},
+		{"sphere/16384", workload.Sphere(1, 1<<14)},
+		{"cap/16384", workload.Cap(1, 1<<14)},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Upper(in.pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIncrementalNoisy builds under a single-vote oracle that flips
 // 5% of orientation answers, so most insertions after the first wrong
 // answer take the non-manifold rebuildCone path; the map-based reference

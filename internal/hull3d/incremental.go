@@ -1,9 +1,11 @@
 // Package hull3d provides the three-dimensional convex hull substrate the
 // 3-d algorithms of the paper need: a randomized incremental full-hull
 // construction with conflict lists (the O(n log n) baseline, also standing
-// in for the Reif–Sen fallback — see DESIGN.md), gift wrapping (the O(n·h)
-// output-sensitive comparator), upper-hull facet extraction, and a
-// verification oracle.
+// in for the Reif–Sen fallback — see DESIGN.md), a deterministic
+// upper-hull-only quickhull closed by a point at infinity below (Upper,
+// the native backend's builder), gift wrapping (the O(n·h)
+// output-sensitive comparator), upper-hull facet extraction and location,
+// and a verification oracle.
 package hull3d
 
 import (

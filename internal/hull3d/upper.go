@@ -3,8 +3,10 @@ package hull3d
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"inplacehull/internal/geom"
+	"inplacehull/internal/hullerr"
 )
 
 // UpperFaces returns the facets of the upper hull: the faces of the full
@@ -198,4 +200,272 @@ func VerifyUpper(pts []geom.Point3, faces []Tri) error {
 		}
 	}
 	return nil
+}
+
+// SameUpper reports whether two hulls have the same upper hull as a
+// surface, whatever their triangulations: every upper-face vertex of
+// each lies inside the other's xy-shadow and not above its upper faces
+// (exact predicates). An upper hull is the least concave function over
+// the shadow of its vertices, so both directions force equality.
+func SameUpper(a, b Hull) error {
+	for _, dir := range [2][2]Hull{{a, b}, {b, a}} {
+		from, to := dir[0], dir[1]
+		faces := to.UpperFaces()
+		for _, f := range from.UpperFaces() {
+			for _, v := range [3]geom.Point3{from.Pts[f.A], from.Pts[f.B], from.Pts[f.C]} {
+				fi := FaceAbove(to.Pts, faces, v.X, v.Y)
+				if fi < 0 {
+					return fmt.Errorf("upper vertex %v outside the other hull's xy-shadow", v)
+				}
+				g := faces[fi]
+				if geom.Orientation3(to.Pts[g.A], to.Pts[g.B], to.Pts[g.C], v) > 0 {
+					return fmt.Errorf("upper vertex %v above the other hull's upper face", v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Upper computes the upper hull of pts by quickhull (Barber, Dobkin &
+// Huhdanpaa 1996) over the face arena, never building a lower face. A
+// point at infinity below, vertex index len(pts) standing for (0, 0, −∞),
+// closes the surface: a face holding it is a vertical wall over an edge of
+// the xy-hull, and a point sees the wall (u, v, ∞) exactly when
+// Orientation(xy(u), xy(v), xy(q)) > 0. Finite faces keep the exact
+// Orientation3 test, so the surface is the boundary of the input's hull
+// extended by a downward ray, and its finite non-vertical faces are the
+// upper hull.
+//
+// Each pending point waits on one face it strictly sees (its outside
+// set); the next point inserted is the highest of some face's outside set
+// by a float plane distance, which only chooses and never decides. After
+// an insertion the orphans of the dying faces are tested against the new
+// cone faces only, and an orphan that sees none of them is dropped: a
+// segment from the relative interior of the dying face it saw to the
+// orphan stays strictly above that face's plane, so it leaves the new
+// surface through a cone face, or the orphan is not outside.
+//
+// The initial simplex comes from Incremental's search in input order, so
+// Upper fails with the same errors on fewer than four points and on
+// coincident, collinear and coplanar inputs. The build consumes no
+// randomness and is a function of the input order. The returned Faces
+// are exactly the upper faces, each counter-clockwise in xy; the hull is
+// open at the bottom, so Verify does not apply. With exact predicates
+// every horizon is a simple cycle; if one is not, Upper returns a
+// hullerr.Internal error.
+func Upper(pts []geom.Point3) (Hull, error) {
+	n := len(pts)
+	if n >= math.MaxInt32 {
+		return Hull{}, fmt.Errorf("hull3d: %d points exceed the 32-bit face arena", n)
+	}
+	s, err := firstSimplex(pts)
+	if err != nil {
+		return Hull{}, err
+	}
+	a, b, c := xyTriangle(pts, s)
+	inf := int32(n)
+	bd := &builder{pts: pts, coneAt: make([]int32, n+1), coneStamp: make([]int32, n+1)}
+	// The triangle, CCW in xy so its normal points up, and a wall below
+	// each of its edges, facing out of the xy-triangle.
+	initial := []int32{0, 1, 2, 3}
+	for _, t := range [][3]int32{{a, b, c}, {b, a, inf}, {c, b, inf}, {a, c, inf}} {
+		bd.faces = append(bd.faces, face{v: t})
+	}
+	for _, f := range initial {
+		for e := 0; e < 3; e++ {
+			bd.setKey(initial, f, e)
+		}
+	}
+	for q := int32(0); q < inf; q++ {
+		if q != a && q != b && q != c {
+			bd.assign(q, initial)
+		}
+	}
+
+	// pending holds faces given a non-empty outside set; a face's set
+	// empties only when the face dies.
+	var pending, visibleList, cone []int32
+	for _, f := range initial {
+		if len(bd.faces[f].conflict) > 0 {
+			pending = append(pending, f)
+		}
+	}
+	var horizon []hEdge
+	stamp := int32(0)
+	for len(pending) > 0 {
+		start := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if bd.faces[start].dead {
+			continue
+		}
+		p := bd.highest(start)
+		stamp++
+		bd.faces[start].stamp = stamp
+		visibleList = append(visibleList[:0], start)
+		for qi := 0; qi < len(visibleList); qi++ {
+			f := visibleList[qi]
+			for e := 0; e < 3; e++ {
+				g := bd.faces[f].nb[e]
+				if bd.faces[g].stamp != stamp && bd.sees(&bd.faces[g], p) {
+					bd.faces[g].stamp = stamp
+					visibleList = append(visibleList, g)
+				}
+			}
+		}
+		horizon = horizon[:0]
+		for _, f := range visibleList {
+			fv := bd.faces[f].v
+			for e := 0; e < 3; e++ {
+				if g := bd.faces[f].nb[e]; bd.faces[g].stamp != stamp {
+					horizon = append(horizon, hEdge{u: fv[e], v: fv[(e+1)%3], dead: f, ok: g})
+				}
+			}
+		}
+		base := int32(len(bd.faces))
+		if !bd.simpleHorizon(horizon, base, stamp) {
+			return Hull{}, hullerr.New(hullerr.Internal, "hull3d.Upper",
+				"the horizon of point %d is not a simple cycle", p)
+		}
+		bd.stitchCone(visibleList, horizon, p)
+		cone = cone[:0]
+		for j := range horizon {
+			cone = append(cone, base+int32(j))
+		}
+		for _, f := range visibleList {
+			for _, q := range bd.faces[f].conflict {
+				if q != p {
+					bd.assign(q, cone)
+				}
+			}
+			bd.recycle(bd.faces[f].conflict)
+			bd.faces[f].conflict = nil
+		}
+		for _, f := range cone {
+			if len(bd.faces[f].conflict) > 0 {
+				pending = append(pending, f)
+			}
+		}
+	}
+
+	h := Hull{Pts: pts}
+	for f := range bd.faces {
+		fc := &bd.faces[f]
+		if fc.dead || fc.v[0] == inf || fc.v[1] == inf || fc.v[2] == inf {
+			continue
+		}
+		t := Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])}
+		if geom.Orientation(pxy(pts[t.A]), pxy(pts[t.B]), pxy(pts[t.C])) > 0 {
+			h.Faces = append(h.Faces, t)
+		}
+	}
+	return h, nil
+}
+
+// firstSimplex is Incremental's initial-simplex search in input order:
+// the first point, the first point distinct from it, the first point off
+// their line and the first point off their plane.
+func firstSimplex(pts []geom.Point3) ([4]int, error) {
+	if len(pts) < 4 {
+		return [4]int{}, fmt.Errorf("hull3d: need at least 4 points, have %d", len(pts))
+	}
+	i1 := slices.IndexFunc(pts, func(p geom.Point3) bool { return p != pts[0] })
+	if i1 < 0 {
+		return [4]int{}, fmt.Errorf("hull3d: all points coincide")
+	}
+	i2 := -1
+	for i := range pts {
+		if i != 0 && i != i1 && !collinear3(pts[0], pts[i1], pts[i]) {
+			i2 = i
+			break
+		}
+	}
+	if i2 < 0 {
+		return [4]int{}, fmt.Errorf("hull3d: all points collinear")
+	}
+	for i := range pts {
+		if i != 0 && i != i1 && i != i2 && geom.Orientation3(pts[0], pts[i1], pts[i2], pts[i]) != 0 {
+			return [4]int{0, i1, i2, i}, nil
+		}
+	}
+	return [4]int{}, fmt.Errorf("hull3d: all points coplanar")
+}
+
+// xyTriangle returns the first three of the simplex s whose xy-projection
+// is not collinear, ordered counter-clockwise. One exists: four points
+// with collinear projections lie in one vertical plane.
+func xyTriangle(pts []geom.Point3, s [4]int) (a, b, c int32) {
+	for _, t := range [][3]int{{s[0], s[1], s[2]}, {s[0], s[1], s[3]}, {s[0], s[2], s[3]}, {s[1], s[2], s[3]}} {
+		switch geom.Orientation(pxy(pts[t[0]]), pxy(pts[t[1]]), pxy(pts[t[2]])) {
+		case 1:
+			return int32(t[0]), int32(t[1]), int32(t[2])
+		case -1:
+			return int32(t[0]), int32(t[2]), int32(t[1])
+		}
+	}
+	panic("hull3d: a non-coplanar simplex has no xy-independent triple")
+}
+
+// sees reports whether q strictly sees f on the surface closed by the
+// point at infinity, vertex len(b.pts). A wall, rotated to (u, v, ∞), is
+// seen from the open xy half-plane to the left of u→v.
+func (b *builder) sees(f *face, q int32) bool {
+	inf := int32(len(b.pts))
+	u, v, w := f.v[0], f.v[1], f.v[2]
+	switch inf {
+	case u:
+		u, v = v, w
+	case v:
+		u, v = w, u
+	case w:
+	default:
+		return geom.Orientation3(b.pts[u], b.pts[v], b.pts[w], b.pts[q]) > 0
+	}
+	return geom.Orientation(pxy(b.pts[u]), pxy(b.pts[v]), pxy(b.pts[q])) > 0
+}
+
+// assign lists q on the first of faces it strictly sees, if any.
+func (b *builder) assign(q int32, faces []int32) {
+	for _, f := range faces {
+		if fc := &b.faces[f]; b.sees(fc, q) {
+			if fc.conflict == nil {
+				fc.conflict = b.take()
+			}
+			fc.conflict = append(fc.conflict, q)
+			return
+		}
+	}
+}
+
+// highest returns the point of f's outside set farthest beyond f's plane
+// by float arithmetic (the distance times the length of the face's
+// normal, one scale for the whole set): the first such point, or the
+// first point when no distance compares.
+func (b *builder) highest(f int32) int32 {
+	fc := &b.faces[f]
+	inf := int32(len(b.pts))
+	u, v, w := fc.v[0], fc.v[1], fc.v[2]
+	switch inf {
+	case u:
+		u, v, w = v, w, u
+	case v:
+		u, v, w = w, u, v
+	}
+	o := b.pts[u]
+	var nrm geom.Point3
+	if w == inf {
+		// A wall's outward normal is horizontal, to the left of u→v.
+		d := b.pts[v].Sub(o)
+		nrm = geom.Point3{X: -d.Y, Y: d.X}
+	} else {
+		nrm = b.pts[v].Sub(o).Cross(b.pts[w].Sub(o))
+	}
+	best := fc.conflict[0]
+	top := nrm.Dot(b.pts[best].Sub(o))
+	for _, q := range fc.conflict[1:] {
+		if d := nrm.Dot(b.pts[q].Sub(o)); d > top {
+			best, top = q, d
+		}
+	}
+	return best
 }

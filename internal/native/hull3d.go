@@ -1,44 +1,50 @@
 package native
 
 import (
+	"errors"
+
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull3d"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/lp"
 	"inplacehull/internal/pram"
-	"inplacehull/internal/rng"
 	"inplacehull/internal/unsorted"
 )
 
-// Hull3D computes the Result3D cap structure directly: the sequential
-// randomized incremental hull (expected O(n log n), deterministic given
-// seed) lifted into upper-face caps, falling back to the degenerate
-// global-top cap for inputs the incremental builder rejects (fewer than
-// four points, all collinear/coplanar) — the same recipe as the resilient
-// supervisor's sequential rung. The assembled result is checked against
-// the CheckCaps3D oracle before it is returned, so the backend keeps the
+// Hull3D computes the Result3D cap structure directly: the upper hull
+// (hull3d.Upper, sequential quickhull, deterministic in the input order)
+// lifted into upper-face caps, falling back to the degenerate global-top
+// cap for inputs the builder rejects (fewer than four points, all
+// collinear/coplanar) — the recipe of the resilient supervisor's
+// sequential rung, with the upper-hull builder in place of its
+// randomized full hull. The assembled result is checked against the
+// CheckCaps3D oracle before it is returned, so the backend keeps the
 // library's "a correct hull or a typed error" contract without a
-// simulator in the loop. obs may be nil.
+// simulator in the loop. The build consumes no randomness: seed is
+// ignored. obs may be nil.
 func Hull3D(seed uint64, pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
 	return Hull3DFrom(seed, pts, pts, obs)
 }
 
-// Hull3DFrom computes the Result3D cap structure for full while running
-// the incremental hull only over culled — the serve layer's post-culling
-// entry point. culled must have the same upper hull as full and the same
+// Hull3DFrom computes the Result3D cap structure for full while building
+// the upper hull only over culled — the serve layer's post-culling entry
+// point. culled must have the same upper hull as full and the same
 // xy-shadow (what every internal/cull filter keeps; the 3-d upper filter
 // may drop points of the lower hull). The cap assignment
 // (unsorted.CapsFromHull), the oracle gate (CheckCaps3D) and the
 // degenerate fallback all run over the FULL point set, so FacetOf keeps
 // input length and every point's cap is a genuine upper facet above it.
 // The upper hull is identical to a full-input run; the facet
-// decomposition need not be bit-identical — insertion order differs, so
-// coplanar upper faces may triangulate differently and tie-broken
-// FaceAbove picks may move, the same seed-dependence the 3-d parity suite
-// already tolerates. A filter never changes which rung answers: when the
-// survivors are flat or their caps fail the oracle, the hull is rebuilt
-// from full before the degenerate rung is tried. Correctness is what
-// CheckCaps3D proves, over the full input. obs may be nil.
+// decomposition need not be bit-identical — the builder's insertion
+// order follows its input, so coplanar upper faces may triangulate
+// differently and tie-broken FaceAbove picks may move, the
+// order-dependence the 3-d parity suite already tolerates. A filter
+// never changes which rung answers: when the survivors are flat or their
+// caps fail the oracle, the hull is rebuilt from full before the
+// degenerate rung is tried. A build whose horizon is not a simple cycle,
+// which exact predicates rule out, returns its hullerr.Internal error
+// instead of any rung. Correctness is what CheckCaps3D proves, over the
+// full input. seed is ignored. obs may be nil.
 func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
 	const op = "native.Hull3DFrom"
 	if err := hullerr.CheckFinite3D(op, full); err != nil {
@@ -56,7 +62,11 @@ func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorte
 		work = append(work, full)
 	}
 	for _, pts := range work {
-		if h, err := hull3d.Incremental(rng.New(seed), pts); err == nil {
+		h, err := hull3d.Upper(pts)
+		if errors.Is(err, &hullerr.Error{Kind: hullerr.Internal}) {
+			return unsorted.Result3D{}, err // a broken build, which no rung may hide
+		}
+		if err == nil {
 			res := unsorted.CapsFromHull(full, h)
 			if unsorted.CheckCaps3D(full, res) == nil {
 				o.charge(n)

@@ -33,7 +33,7 @@ func referenceHull3DFrom(seed uint64, full, culled []geom.Point3) unsorted.Resul
 // referenceCaps is one rung of referenceHull3DFrom: the hull of work
 // lifted over full by the linear scan, if it passes the oracle.
 func referenceCaps(seed uint64, full, work []geom.Point3) (unsorted.Result3D, bool) {
-	if h, err := hull3d.Incremental(rng.New(seed), work); err == nil {
+	if h, err := hull3d.Upper(work); err == nil {
 		res := unsorted.Result3D{FacetOf: make([]int, len(full))}
 		upper := h.UpperFaces()
 		facetSlot := map[int]int{}

@@ -1,7 +1,7 @@
 package stream
 
-// 3-d incremental hull maintenance: candidate replay through the existing
-// incremental builder (native.Hull3DFrom). The retained candidate set is
+// 3-d incremental hull maintenance: candidate replay through the native
+// upper-hull builder (native.Hull3DFrom). The retained candidate set is
 // the previous hull's vertex set; appends extend it with the new points
 // (conv(verts ∪ appended) == conv(live), the invariant Hull3DFrom
 // requires), so the builder's insertion work shrinks from n to h+k.
@@ -10,9 +10,10 @@ package stream
 // analogue of the 2-d churn threshold. Cap assignment and the CheckCaps3D
 // oracle always run over the full live multiset, so a commit stays O(n)
 // and the answer is oracle-gated exactly like every other 3-d path in the
-// repo. Facet decomposition is seed-and-order dependent (the repo-wide
-// 3-d stance), so the store fixes one seed and feeds candidates in sorted
-// order: identical candidate sets replay to identical facets.
+// repo. Facet decomposition depends on the builder's input order, not on
+// the seed (the builder consumes no randomness), so the store feeds
+// candidates in sorted order: identical candidate sets replay to
+// identical facets.
 
 import (
 	"context"

@@ -17,7 +17,7 @@
 // repair abandons the strip and falls back to a full native rebuild;
 // every fallback decision is logged and counted, never silent.
 //
-// 3-d maintenance replays mutations through the existing incremental
+// 3-d maintenance replays mutations through the native upper-hull
 // builder via native.Hull3DFrom: the candidate set is the previous hull's
 // vertex set plus the appended points (their convex hull equals the full
 // hull, the invariant Hull3DFrom requires), so insertion work shrinks
@@ -67,10 +67,10 @@ type Config struct {
 	// Injector supplies the mutation-path fault sites (StreamSplice,
 	// StreamRebuild); nil injects nothing.
 	Injector *fault.Injector
-	// Seed drives the 3-d incremental builder's insertion order
-	// (0 = default). One fixed seed per store keeps replays
-	// deterministic: the same candidate set always rebuilds the same
-	// facet decomposition.
+	// Seed is passed to the native 3-d build, which consumes no
+	// randomness: its facets follow the candidates' order, and the store
+	// feeds them in sorted order, so replays are deterministic whatever
+	// the seed.
 	Seed uint64
 	// MinChurn and ChurnFrac size the delete-repair churn threshold: a
 	// strip repair touching more than max(MinChurn, ChurnFrac·distinct)

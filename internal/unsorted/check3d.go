@@ -10,8 +10,9 @@ import (
 )
 
 // locateGrain is the number of points one fork leaf of CapsFromHull
-// locates.
-const locateGrain = 4096
+// locates: a served 2048-point request forks once, which pays for itself
+// (BenchmarkHull3DFrom, BENCH_layers.json).
+const locateGrain = 1024
 
 // CapsFromHull lifts a full 3-d hull into the Result3D cap contract over
 // pts (h may be the hull of a subset with the same convex hull, or of a
