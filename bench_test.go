@@ -290,36 +290,3 @@ func BenchmarkMachineWorkers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkE17Dispatch times one PRAM step under the three dispatch
-// strategies E17 compares: workers=1 sequential, the frozen
-// spawn-per-step baseline, and the persistent worker-pool engine. The
-// full structure-matched overhead analysis (and the regression gate) is
-// cmd/hullbench -exp E17; this target is the raw ns/step material.
-func BenchmarkE17Dispatch(b *testing.B) {
-	const n = 1 << 14
-	variants := []struct {
-		name string
-		mk   func() *pram.Machine
-	}{
-		{"seq", func() *pram.Machine { return pram.New(pram.WithWorkers(1)) }},
-		{"spawn", func() *pram.Machine {
-			return pram.New(pram.WithWorkers(8), pram.WithSpawnDispatch())
-		}},
-		{"engine", func() *pram.Machine {
-			return pram.New(pram.WithWorkers(8), pram.WithParallelThreshold(1))
-		}},
-	}
-	sum := make([]int64, n)
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			m := v.mk()
-			defer m.Close()
-			m.Step(n, func(p int) bool { sum[p]++; return true }) // warm the pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step(n, func(p int) bool { sum[p]++; return true })
-			}
-		})
-	}
-}

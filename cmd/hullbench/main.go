@@ -1,17 +1,18 @@
 // Command hullbench runs the experiments of DESIGN.md §6 and prints their
 // tables — the reproduction's equivalent of regenerating the paper's
-// evaluation figures. The registry spans E1–E21: the theorem-by-theorem
+// evaluation figures. The registry spans E1–E23 (E17, the retired engine
+// benchmark, is recorded in BENCH_pram.json only): the theorem-by-theorem
 // measurements, the E14 chaos soak (with the E14c supervised-recovery
 // re-run), the E15 resilience-overhead sweep, the E16 observability
 // certification (exact phase attribution, Lemma 4.2 round bounds,
-// disabled-path overhead), the E17 engine benchmarks (persistent
-// worker-pool dispatch vs the frozen spawn-per-step baseline), the
-// E18 serving-layer load test (batched fleet vs one-machine-per-request,
-// cache-hit pricing), the E19 noisy-primitive soak (predicate-flip
-// ladder), the E20 scatter-gather chaos soak (network-fault mixes
-// against the distributed never-silently-wrong contract), and the E21
-// execution-backend comparison (native vs counted serving throughput on
-// cache-miss queries).
+// disabled-path overhead), the E18 serving-layer load test (batched fleet
+// vs one-machine-per-request, cache-hit pricing), the E19 noisy-primitive
+// soak (predicate-flip ladder), the E20 scatter-gather chaos soak
+// (network-fault mixes against the distributed never-silently-wrong
+// contract), the E21 execution-backend comparison (native vs counted
+// serving throughput on cache-miss queries), the E22 admission-culling
+// comparison, and the E23 streaming-maintenance comparison (incremental
+// vs rebuild-per-update).
 //
 // Usage:
 //
@@ -21,8 +22,6 @@
 //	hullbench -seed 7         # change the master seed
 //	hullbench -list           # list experiments and claims
 //	hullbench -exp E16 -metrics :9090   # per-phase table + Prometheus endpoint
-//	hullbench -exp E17 -pramjson BENCH_pram.json   # regenerate the engine report
-//	hullbench -quick -exp E17 -prambase BENCH_pram.json   # CI regression gate
 //	hullbench -serve -servejson BENCH_serve.json   # serving-layer load test (E18)
 //	hullbench -quick -serve -servebase BENCH_serve.json   # serving CI gate
 //	hullbench -exp E21 -servejson BENCH_serve.json   # merge backend rows into the report
@@ -49,8 +48,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		metrics   = flag.String("metrics", "", "after the runs, print the per-phase table and serve Prometheus metrics at this address (e.g. :9090) until interrupted")
-		pramjson  = flag.String("pramjson", "", "write E17's machine-readable engine report (BENCH_pram.json schema) to this path")
-		prambase  = flag.String("prambase", "", "gate E17 against this committed BENCH_pram.json; exit 1 on >10% regression")
 		serveLoad = flag.Bool("serve", false, "run the serving-layer load test (shorthand for -exp E18)")
 		servejson = flag.String("servejson", "", "write the machine-readable serving report (BENCH_serve.json schema) to this path; E18, E21 and E22 each merge their own section")
 		servebase = flag.String("servebase", "", "gate E18/E21/E22 against this committed BENCH_serve.json (and the absolute acceptance contracts); exit 1 on failure")
@@ -71,7 +68,6 @@ func main() {
 	var gateFails []string
 	cfg := bench.Config{
 		Seed: *seed, Quick: *quick,
-		PramJSON: *pramjson, PramBaseline: *prambase,
 		ServeJSON: *servejson, ServeBaseline: *servebase,
 		Gate: func(msg string) { gateFails = append(gateFails, msg) },
 	}

@@ -114,14 +114,6 @@ type Config struct {
 	// observability-instrumented experiments (E16) for the cmd/hullbench
 	// -metrics Prometheus endpoint.
 	Metrics *obs.Metrics
-	// PramJSON, when non-empty, makes E17 write its machine-readable
-	// engine report (the BENCH_pram.json schema) to this path.
-	PramJSON string
-	// PramBaseline, when non-empty, makes E17 load a committed
-	// BENCH_pram.json and check the current run against it; regressions
-	// beyond the 10% contract are appended to the table notes and
-	// delivered through Gate.
-	PramBaseline string
 	// ServeJSON, when non-empty, makes E18 write its machine-readable
 	// serving report (the BENCH_serve.json schema) to this path.
 	ServeJSON string
@@ -130,8 +122,8 @@ type Config struct {
 	// contract is checked whenever Gate is set, baseline or not).
 	ServeBaseline string
 	// Gate receives regression-gate failure messages from experiments
-	// that support baseline comparison (E17, E18). cmd/hullbench uses it
-	// to exit non-zero; a nil Gate means failures are notes only.
+	// that gate (E18, E20–E23). cmd/hullbench uses it to exit non-zero;
+	// a nil Gate means failures are notes only.
 	Gate func(msg string)
 }
 

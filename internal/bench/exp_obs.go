@@ -20,7 +20,7 @@ import (
 // ("lp-iter" spans) per bridge-finding invocation stays within Lemma
 // 4.2's constant bound (lp.MaxRoundsPerBridge); and (3) with no sink
 // installed the instrumented Step path costs within a few percent of
-// the frozen pre-observability baseline.
+// StepBaseline, the same step without the sink branch.
 func init() {
 	Register(Experiment{
 		ID: "E16",
@@ -148,8 +148,8 @@ func obsAttribution(cfg Config) Table {
 }
 
 // obsOverhead times the instrumented Step path with no sink installed
-// against StepBaseline, the pre-observability implementation kept
-// verbatim for exactly this comparison. The acceptance bar is ≤1.05×;
+// against StepBaseline, Step without the sink branch, kept for exactly
+// this comparison. The acceptance bar is ≤1.05×;
 // the table reports the measured ratio (best of several trials, to
 // shed scheduler noise).
 func obsOverhead(cfg Config) Table {
@@ -158,7 +158,7 @@ func obsOverhead(cfg Config) Table {
 		reps, trials = 800, 3
 	}
 	t := Table{
-		Title:   "E16 — disabled-path overhead: Step (nil sink) vs pre-observability baseline",
+		Title:   "E16 — disabled-path overhead: Step (nil sink) vs Step without the sink branch",
 		Columns: []string{"variant", "steps", "width", "best ns/step", "ratio"},
 	}
 	m := pram.New(pram.WithWorkers(1))
@@ -179,7 +179,7 @@ func obsOverhead(cfg Config) Table {
 	base := time2(m.StepBaseline)
 	inst := time2(m.Step)
 	ratio := float64(inst) / float64(base)
-	t.Add("baseline (frozen)", reps, width, float64(base.Nanoseconds())/float64(reps), 1.0)
+	t.Add("baseline (no sink branch)", reps, width, float64(base.Nanoseconds())/float64(reps), 1.0)
 	t.Add("instrumented, no sink", reps, width, float64(inst.Nanoseconds())/float64(reps), ratio)
 	t.Notes = append(t.Notes, fmt.Sprintf("acceptance: ratio ≤ 1.05 (measured %.3f)", ratio))
 	return t

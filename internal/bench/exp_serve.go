@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"inplacehull/internal/geom"
@@ -192,6 +193,12 @@ func measureServeLoad(cfg Config) ([]ServeRow, []string) {
 		"on a single-core host the (nocache) rows track permachine (identical compute); the cache supplies the serving win, and mean batch size shows the coalescing that pays off with core count",
 	}
 	return rows, notes
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 func measureServeCache(cfg Config) ([]ServeCacheRow, []string) {

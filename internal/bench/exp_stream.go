@@ -106,7 +106,7 @@ func measureStreamChurn(cfg Config) ([]StreamBenchRow, []string) {
 
 		// Incremental arm: one dataset, mutations flow through the
 		// maintained chain (splice repair, churn-threshold fallback).
-		st := stream.NewStore(stream.Config{Seed: cfg.Seed})
+		st := stream.NewStore(stream.Config{})
 		d, _, err := st.Register2("bench", pts)
 		if err != nil {
 			return rows, []string{"ERROR registering bench dataset: " + err.Error()}

@@ -269,7 +269,7 @@ func TestParity3D(t *testing.T) {
 // a 3-d hull only need Hull3DFrom to answer.
 func survivorsAnswer(t *testing.T, label string, full, culled []geom.Point3) {
 	t.Helper()
-	if _, err := native.Hull3DFrom(42, full, culled, nil); err != nil {
+	if _, err := native.Hull3DFrom(full, culled, nil); err != nil {
 		t.Fatalf("%s: Hull3DFrom over the survivors: %v", label, err)
 	}
 	want, err := hull3d.Incremental(rng.New(1), full)
@@ -507,7 +507,7 @@ func FuzzCullParity3D(f *testing.F) {
 			}
 			return c
 		}
-		unculled, unculledErr := native.Hull3D(seed, pts, nil)
+		unculled, unculledErr := native.Hull3D(pts, nil)
 		var full hull3d.Hull
 		fullErr := unculledErr
 		if finite {
@@ -527,7 +527,7 @@ func FuzzCullParity3D(f *testing.F) {
 			if nonFinite(culled) != nonFinite(pts) {
 				t.Fatalf("%v: a non-finite point was culled", pol)
 			}
-			got, err := native.Hull3DFrom(seed, pts, culled, nil)
+			got, err := native.Hull3DFrom(pts, culled, nil)
 			if (err == nil) != (unculledErr == nil) {
 				t.Fatalf("%v: error parity: culled %v, unculled %v", pol, err, unculledErr)
 			}

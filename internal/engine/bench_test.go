@@ -27,7 +27,7 @@ func BenchmarkPlan2D(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, in := range inputs {
-		p := engine.Plan{Backend: resilient.BackendNative, Cull: in.pol, CullSeed: 1, Seed: 1}
+		p := engine.Plan{Backend: resilient.BackendNative, Cull: in.pol, CullSeed: 1}
 		work, _ := p.Filter2(in.pts)
 		b.Run(in.name+"/run2d", func(b *testing.B) {
 			b.ReportAllocs()

@@ -24,22 +24,20 @@ import (
 	"inplacehull/internal/unsorted"
 )
 
-// NativeEngine is the direct engine bound to one seed and sink.
+// NativeEngine is the direct engine bound to one sink.
 type NativeEngine struct {
-	seed uint64
 	sink pram.Sink
 }
 
 // Native returns the direct engine. The native path consumes no
-// randomness (its 3-d build follows the input order), so seed is carried
-// but unused; sink, when
-// non-nil, receives wall-time spans and steps==0 item charges. The native
-// path needs no supervision — its algorithms are deterministic and
-// oracle-checked where randomness is involved — so options and Policy are
-// accepted for symmetry with the counted calls and ignored, and reports
-// always show one attempt. Context is honored at call boundaries (native
+// randomness (its 3-d build follows the input order), so the seed is
+// ignored; sink, when non-nil, receives wall-time spans and steps==0 item
+// charges. The native path needs no supervision — its algorithms are
+// deterministic and oracle-checked where randomness is involved — so
+// options and Policy are accepted for symmetry with the counted calls and
+// ignored, and reports always show one attempt. Context is honored at call boundaries (native
 // runs are short; there are no step barriers to poll between).
-func Native(seed uint64, sink pram.Sink) NativeEngine { return NativeEngine{seed: seed, sink: sink} }
+func Native(_ uint64, sink pram.Sink) NativeEngine { return NativeEngine{sink: sink} }
 
 // nativeReport is the direct engine's account: one attempt on the primary
 // path, no counted cost (the native backend has no step or work counters —
@@ -78,7 +76,7 @@ func (e NativeEngine) Hull2D(ctx context.Context, pts []geom.Point, _ unsorted.O
 // Hull3D is the §4.3 cap structure on the native backend.
 func (e NativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.Options3D, _ resilient.Policy) (unsorted.Result3D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull3D", func() (unsorted.Result3D, error) {
-		return native.Hull3D(e.seed, pts, e.sink)
+		return native.Hull3D(pts, e.sink)
 	})
 }
 
@@ -86,10 +84,10 @@ func (e NativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.
 // path: the incremental hull runs over culled, caps are assigned and
 // oracle-checked over full (see native.Hull3DFrom). Only the native
 // backend can honor it — counted 3-d facet identities are not stable
-// under input subsetting.
-func NativeHull3DFrom(ctx context.Context, seed uint64, full, culled []geom.Point3, sink pram.Sink) (unsorted.Result3D, resilient.Report, error) {
+// under input subsetting. The seed is ignored, as in Native.
+func NativeHull3DFrom(ctx context.Context, _ uint64, full, culled []geom.Point3, sink pram.Sink) (unsorted.Result3D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull3DFrom", func() (unsorted.Result3D, error) {
-		return native.Hull3DFrom(seed, full, culled, sink)
+		return native.Hull3DFrom(full, culled, sink)
 	})
 }
 

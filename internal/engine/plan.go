@@ -73,10 +73,6 @@ type Plan struct {
 	Cull cull.Policy
 	// CullSeed seeds the coarse filter's sample.
 	CullSeed uint64
-	// Seed is handed to the native backend, which no longer consumes
-	// it: the native 3-d build is a function of the input order. It
-	// stays in the request and in serve's result-cache key.
-	Seed uint64
 	// Sink receives the native backend's wall-time spans. Counted runs
 	// report through Machine's own sink.
 	Sink pram.Sink
@@ -226,9 +222,9 @@ func (p Plan) Run2D(ctx context.Context, in Input2D) (Result2D, resilient.Report
 func (p Plan) Run3D(ctx context.Context, in Input3D) (unsorted.Result3D, resilient.Report, error) {
 	if p.native() {
 		if in.Culled() > 0 {
-			return NativeHull3DFrom(ctx, p.Seed, in.Full, in.Work, p.Sink)
+			return NativeHull3DFrom(ctx, 0, in.Full, in.Work, p.Sink)
 		}
-		return Native(p.Seed, p.Sink).Hull3D(ctx, in.Work, p.Options3D, p.Policy)
+		return Native(0, p.Sink).Hull3D(ctx, in.Work, p.Options3D, p.Policy)
 	}
 	m := p.Machine
 	if p.Direct {

@@ -31,7 +31,7 @@ var (
 // single-worker machine and the same seeded stream every time, so a
 // culled and an unculled run differ only by the filter.
 func plan(t *testing.T, be resilient.Backend, algo engine.Algo, pol cull.Policy) engine.Plan {
-	p := engine.Plan{Backend: be, Algo: algo, Cull: pol, CullSeed: 11, Seed: 7}
+	p := engine.Plan{Backend: be, Algo: algo, Cull: pol, CullSeed: 11}
 	if be == resilient.BackendCounted {
 		m := pram.New(pram.WithWorkers(1))
 		t.Cleanup(m.Close)

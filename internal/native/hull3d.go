@@ -20,10 +20,10 @@ import (
 // randomized full hull. The assembled result is checked against the
 // CheckCaps3D oracle before it is returned, so the backend keeps the
 // library's "a correct hull or a typed error" contract without a
-// simulator in the loop. The build consumes no randomness: seed is
-// ignored. obs may be nil.
-func Hull3D(seed uint64, pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
-	return Hull3DFrom(seed, pts, pts, obs)
+// simulator in the loop. The build consumes no randomness. obs may be
+// nil.
+func Hull3D(pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
+	return Hull3DFrom(pts, pts, obs)
 }
 
 // Hull3DFrom computes the Result3D cap structure for full while building
@@ -44,8 +44,8 @@ func Hull3D(seed uint64, pts []geom.Point3, obs pram.Sink) (unsorted.Result3D, e
 // degenerate rung is tried. A build whose horizon is not a simple cycle,
 // which exact predicates rule out, returns its hullerr.Internal error
 // instead of any rung. Correctness is what CheckCaps3D proves, over the
-// full input. seed is ignored. obs may be nil.
-func Hull3DFrom(seed uint64, full, culled []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
+// full input. obs may be nil.
+func Hull3DFrom(full, culled []geom.Point3, obs pram.Sink) (unsorted.Result3D, error) {
 	const op = "native.Hull3DFrom"
 	if err := hullerr.CheckFinite3D(op, full); err != nil {
 		return unsorted.Result3D{}, err

@@ -18,13 +18,13 @@ import (
 // every point located by the linear FaceAbove scan, slots assigned in
 // first-use order, the same oracle gate, full-input retry and degenerate
 // fallback.
-func referenceHull3DFrom(seed uint64, full, culled []geom.Point3) unsorted.Result3D {
+func referenceHull3DFrom(full, culled []geom.Point3) unsorted.Result3D {
 	if len(culled) < len(full) {
-		if res, ok := referenceCaps(seed, full, culled); ok {
+		if res, ok := referenceCaps(full, culled); ok {
 			return res
 		}
 	}
-	if res, ok := referenceCaps(seed, full, full); ok {
+	if res, ok := referenceCaps(full, full); ok {
 		return res
 	}
 	return unsorted.Result3D{Facets: []lp.Solution3D{unsorted.TopCap(full)}, FacetOf: make([]int, len(full))}
@@ -32,7 +32,7 @@ func referenceHull3DFrom(seed uint64, full, culled []geom.Point3) unsorted.Resul
 
 // referenceCaps is one rung of referenceHull3DFrom: the hull of work
 // lifted over full by the linear scan, if it passes the oracle.
-func referenceCaps(seed uint64, full, work []geom.Point3) (unsorted.Result3D, bool) {
+func referenceCaps(full, work []geom.Point3) (unsorted.Result3D, bool) {
 	if h, err := hull3d.Upper(work); err == nil {
 		res := unsorted.Result3D{FacetOf: make([]int, len(full))}
 		upper := h.UpperFaces()
@@ -82,17 +82,17 @@ func TestHull3DMatchesReferenceLift(t *testing.T) {
 	}
 	for name, pts := range inputs {
 		for _, culled := range [][]geom.Point3{pts, cull.Points3(cull.PolicyOctagon, 9, pts), cull.Points3(cull.PolicyCoarse, 9, pts)} {
-			got, err := Hull3DFrom(5, pts, culled, nil)
+			got, err := Hull3DFrom(pts, culled, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := referenceHull3DFrom(5, pts, culled)
+			want := referenceHull3DFrom(pts, culled)
 			if !slices.Equal(got.Facets, want.Facets) || !slices.Equal(got.FacetOf, want.FacetOf) {
 				t.Fatalf("%s (culled to %d of %d): %d facets, reference %d (or cap assignments differ)",
 					name, len(culled), len(pts), len(got.Facets), len(want.Facets))
 			}
 			if len(culled) == len(pts) {
-				if full, err := Hull3D(5, pts, nil); err != nil || !slices.Equal(full.FacetOf, got.FacetOf) {
+				if full, err := Hull3D(pts, nil); err != nil || !slices.Equal(full.FacetOf, got.FacetOf) {
 					t.Fatalf("%s: Hull3D differs from Hull3DFrom over the same points (%v)", name, err)
 				}
 			}
@@ -124,11 +124,11 @@ func TestHull3DFromFlatSurvivors(t *testing.T) {
 	if len(culled) != 4 {
 		t.Fatalf("upper filter kept %d points, want the 4 coplanar tips", len(culled))
 	}
-	full, err := Hull3D(5, pts, nil)
+	full, err := Hull3D(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Hull3DFrom(5, pts, culled, nil)
+	got, err := Hull3DFrom(pts, culled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func BenchmarkHull3DFrom(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Hull3DFrom(1, pts, culled, nil); err != nil {
+				if _, err := Hull3DFrom(pts, culled, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

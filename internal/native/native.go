@@ -1,10 +1,10 @@
 // Package native is the direct execution backend: the same canonical hull
 // answers as the counted PRAM engine, computed at host speed. Where the
-// simulator charges every step and processor activation — E17 priced that
-// accounting at ~1.1µs per step even on the pooled engine — this package
-// sorts with geom.SortLex (a sequential LSD radix sort on order-preserving
-// float keys) and runs plain divide-and-conquer Go over a flat
-// structure-of-arrays point layout: no step barriers, no work counters,
+// simulator charges every step and processor activation — BENCH_pram.json
+// records ~1.1µs of dispatch per step even on the pooled engine — this
+// package sorts with geom.SortLex (a sequential LSD radix sort on
+// order-preserving float keys) and runs plain divide-and-conquer Go over a
+// flat structure-of-arrays point layout: no step barriers, no work counters,
 // parallelism via the shared binary-forking token pool (internal/fork)
 // once an input outgrows the fork grains.
 //

@@ -28,23 +28,14 @@ func BenchmarkClaimCellContention(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch compares the per-step cost of the three dispatch
-// strategies — sequential (workers=1), the frozen pre-engine spawn path
-// (a fresh goroutine batch + WaitGroup per step), and the persistent
-// worker-pool engine — across step sizes. The spawn-vs-engine gap is the
-// dispatch overhead the engine exists to eliminate; experiment E17
-// records it in BENCH_pram.json and CI gates on the overhead ratio.
+// BenchmarkDispatch compares the per-step cost of sequential execution
+// (workers=1) and the persistent worker-pool engine across step sizes;
+// the gap is what a dispatched step costs over running it inline.
 func BenchmarkDispatch(b *testing.B) {
 	f := func(p int) bool { return p&1 == 0 }
 	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
 		b.Run(fmt.Sprintf("seq/n=%d", n), func(b *testing.B) {
 			m := New(WithWorkers(1))
-			for i := 0; i < b.N; i++ {
-				m.Step(n, f)
-			}
-		})
-		b.Run(fmt.Sprintf("spawn/n=%d", n), func(b *testing.B) {
-			m := New(WithWorkers(4), WithSpawnDispatch())
 			for i := 0; i < b.N; i++ {
 				m.Step(n, f)
 			}
@@ -63,9 +54,9 @@ func BenchmarkDispatch(b *testing.B) {
 
 // BenchmarkStepDisabledVsBaseline is the disabled-path overhead contract
 // of the observability layer (E16): Step with no sink installed (current
-// code, one nil-check branch per step) versus StepBaseline (the
-// pre-observability Step, frozen verbatim in sink.go). The acceptance
-// bound is ≤1.05x; measured ratios are recorded in EXPERIMENTS.md.
+// code, one nil-check branch per step) versus StepBaseline (Step without
+// the sink branch, in sink.go). The acceptance bound is ≤1.05x; measured
+// ratios are recorded in EXPERIMENTS.md.
 func BenchmarkStepDisabledVsBaseline(b *testing.B) {
 	f := func(p int) bool { return p&1 == 0 }
 	b.Run("nosink", func(b *testing.B) {

@@ -30,18 +30,12 @@ import (
 //     min(workers, GOMAXPROCS, chunks) - 1 peers. Virtual-processor width
 //     (workers) is a simulation parameter and routinely exceeds the real
 //     parallelism of the host; waking workers the scheduler cannot run
-//     buys nothing and costs a futile wake/park context switch each. The
-//     frozen spawn path has no such clamp — it pays one goroutine per
-//     worker per step regardless — and the gap is most of what E17
-//     measures on small hosts.
+//     buys nothing and costs a futile wake/park context switch each.
 //
 // None of this is visible to the counted semantics: Time, Work,
 // PeakProcessors, profiles and sink events depend only on the step
 // structure and the live-count sum, which are preserved exactly (the
 // equivalence suite in parity_test.go proves it algorithm by algorithm).
-// The old spawn-per-step dispatch is kept verbatim as runChunksSpawn — it
-// is the frozen comparison baseline of StepBaseline, WithSpawnDispatch and
-// the E17 engine benchmarks.
 
 const (
 	// minDispatchProbe is the step size below which a machine does not even

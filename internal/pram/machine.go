@@ -35,9 +35,6 @@ type Machine struct {
 	// threshold, when > 0, pins the engine's parallel threshold instead of
 	// calibrating it at pool start (WithParallelThreshold).
 	threshold int
-	// spawnDispatch freezes the pre-engine per-step goroutine-spawn
-	// dispatch (WithSpawnDispatch) — the E17 comparison baseline.
-	spawnDispatch bool
 	// fanout, when > 0, overrides the engine's GOMAXPROCS snapshot (its
 	// per-round fanout clamp). Test-only knob: the stress suite raises it
 	// to the worker count so the full wake/join barrier is exercised even
@@ -108,14 +105,6 @@ func WithParallelThreshold(n int) Option {
 			m.threshold = n
 		}
 	}
-}
-
-// WithSpawnDispatch freezes the pre-engine dispatch strategy — a fresh
-// goroutine batch and WaitGroup per step — verbatim. It exists solely as
-// the comparison baseline for the E17 engine benchmarks and must not be
-// used by algorithms.
-func WithSpawnDispatch() Option {
-	return func(m *Machine) { m.spawnDispatch = true }
 }
 
 // New returns a fresh machine with zeroed counters.
@@ -220,12 +209,6 @@ func (m *Machine) Delta(since Snapshot) Snapshot {
 		PeakSpace:      now.PeakSpace,
 	}
 }
-
-// seqThreshold is the fixed virtual-processor count below which the frozen
-// spawn dispatch (runChunksSpawn, the pre-engine strategy) runs a step on
-// the calling goroutine. The engine path replaces this constant with a
-// threshold calibrated at pool start (engine.calibrate).
-const seqThreshold = 4096
 
 // Step executes one synchronous PRAM step over virtual processors
 // [0, n). f(p) performs processor p's instruction and reports whether the
@@ -368,7 +351,6 @@ func (m *Machine) Concurrent(fns ...func(sub *Machine)) {
 		m.poll()
 		sub := New(WithWorkers(m.workers))
 		sub.threshold = m.threshold
-		sub.spawnDispatch = m.spawnDispatch
 		sub.poolParent = m // sub-machines borrow the parent's worker pool
 		sub.ctx = m.ctx    // cancellation reaches concurrently composed subprograms
 		sub.sink = m.sink  // so do span/step observations (folded by the collector)
@@ -420,9 +402,6 @@ func (m *Machine) AllocScratch(n int64) (release func()) {
 func (m *Machine) runChunks(n int, f func(p int) bool) int64 {
 	if m.workers <= 1 {
 		return runSeq(n, f)
-	}
-	if m.spawnDispatch {
-		return m.runChunksSpawn(n, f)
 	}
 	if m.threshold == 0 && n < minDispatchProbe {
 		// Too small for dispatch under any calibration — skip the pool
@@ -510,45 +489,4 @@ func (m *Machine) Close() {
 		runtime.SetFinalizer(m, nil)
 		eng.close()
 	}
-}
-
-// runChunksSpawn is the pre-engine dispatch, frozen verbatim: a fresh
-// goroutine batch and WaitGroup per step, one static chunk per worker. It
-// backs StepBaseline and WithSpawnDispatch machines — the comparison
-// baseline the E17 benchmarks and BENCH_pram.json measure the engine
-// against — and must not change.
-func (m *Machine) runChunksSpawn(n int, f func(p int) bool) int64 {
-	if n < seqThreshold || m.workers <= 1 {
-		return runSeq(n, f)
-	}
-	workers := m.workers
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	var live atomic.Int64
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var l int64
-			for p := lo; p < hi; p++ {
-				if f(p) {
-					l++
-				}
-			}
-			live.Add(l)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return live.Load()
 }

@@ -24,6 +24,10 @@ func TestStepAllCountsEveryProcessor(t *testing.T) {
 	}
 }
 
+// seqThreshold is the sequential cutoff of the retired spawn-per-step
+// dispatch; the sizes around it stay as exactly-once probes.
+const seqThreshold = 4096
+
 func TestStepExecutesEveryProcessorExactlyOnce(t *testing.T) {
 	for _, n := range []int{1, 7, seqThreshold - 1, seqThreshold, seqThreshold * 3, 100000} {
 		m := New()

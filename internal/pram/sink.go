@@ -93,18 +93,18 @@ func (m *Machine) Adopt(sub *Machine, fn func(*Machine)) {
 	m.charge(sub.Time(), sub.Work())
 }
 
-// StepBaseline is the pre-observability, pre-engine Step implementation,
-// frozen verbatim: poll, count, spawn-dispatch run, no sink branch. It
-// exists solely as the comparison baseline for the disabled-path overhead
-// contract (experiment E16 and BenchmarkStepDisabledVsBaseline) and the
-// E17 engine benchmarks, and must not be used by algorithms.
+// StepBaseline is Step without the sink branch: poll, count, dispatch,
+// record. It exists solely as the comparison baseline for the
+// disabled-path overhead contract (experiment E16 and
+// BenchmarkStepDisabledVsBaseline) — the difference between the two is
+// exactly the branch E16 prices — and must not be used by algorithms.
 func (m *Machine) StepBaseline(n int, f func(p int) bool) {
 	if n <= 0 {
 		return
 	}
 	m.poll()
 	m.steps.Add(1)
-	live := m.runChunksSpawn(n, f)
+	live := m.runChunks(n, f)
 	m.work.Add(live)
 	m.bumpPeak(live)
 	m.record(live, 1)

@@ -148,3 +148,39 @@ func TestProfileLengthMatchesTime(t *testing.T) {
 		t.Fatalf("profile sum %d != Work %d", sum, m.Work())
 	}
 }
+
+// TestStepBaselineMatchesStep pins E16's baseline: StepBaseline is Step
+// minus the sink branch, so the same program through either charges
+// identical counters and profiles on the sequential and the pooled path,
+// and StepBaseline never reaches an installed sink.
+func TestStepBaselineMatchesStep(t *testing.T) {
+	sizes := []int{1, 1023, 1024, 70000}
+	live := func(p int) bool { return p%3 != 0 }
+	configs := map[string][]Option{
+		"workers=1": {WithWorkers(1)},
+		"workers=4": {WithWorkers(4), WithParallelThreshold(1)},
+	}
+	for name, opts := range configs {
+		t.Run(name, func(t *testing.T) {
+			step := New(append(opts, WithProfile())...)
+			base := New(append(opts, WithProfile())...)
+			defer step.Close()
+			defer base.Close()
+			s := &logSink{}
+			base.SetSink(s)
+			for _, n := range sizes {
+				step.Step(n, live)
+				base.StepBaseline(n, live)
+			}
+			if got, want := base.Snap(), step.Snap(); got != want {
+				t.Fatalf("StepBaseline counters %+v, Step %+v", got, want)
+			}
+			if got, want := fmt.Sprint(base.Profile()), fmt.Sprint(step.Profile()); got != want {
+				t.Fatalf("StepBaseline profile %s, Step %s", got, want)
+			}
+			if len(s.lines) != 0 {
+				t.Fatalf("StepBaseline emitted sink events: %v", s.lines)
+			}
+		})
+	}
+}

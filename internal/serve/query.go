@@ -194,7 +194,7 @@ func (s *Server) plan(op string, q Query, dim int) (engine.Plan, error) {
 		pol.ApproxEps = q.ApproxEps
 	}
 	return engine.Plan{Backend: b, Algo: engine.Algo(q.Algo), Cull: c,
-		CullSeed: q.Seed, Seed: q.Seed, Policy: pol}, nil
+		CullSeed: q.Seed, Policy: pol}, nil
 }
 
 // filter runs the plan's filter step on a cache-missed request, before

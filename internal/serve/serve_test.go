@@ -89,9 +89,9 @@ func nativeFacets(t *testing.T, pts []geom.Point3, seed uint64, pol cull.Policy)
 	var res unsorted.Result3D
 	var err error
 	if work := cull.Points3(pol, seed, pts); len(work) < len(pts) {
-		res, err = native.Hull3DFrom(seed, pts, work, nil)
+		res, err = native.Hull3DFrom(pts, work, nil)
 	} else {
-		res, err = native.Hull3D(seed, pts, nil)
+		res, err = native.Hull3D(pts, nil)
 	}
 	if err != nil {
 		t.Fatal(err)

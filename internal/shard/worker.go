@@ -103,7 +103,7 @@ func (w *LocalWorker) Partial(ctx context.Context, req Request) (Response, error
 	}
 	pol := w.Policy
 	pol.RequireExact = true
-	p := engine.Plan{Backend: resilient.BackendNative, Seed: req.Seed, Policy: pol}
+	p := engine.Plan{Backend: resilient.BackendNative, Policy: pol}
 	if w.Backend == resilient.BackendCounted {
 		m, err := w.Fleet.Checkout(ctx)
 		if err != nil {

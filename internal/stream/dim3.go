@@ -10,10 +10,9 @@ package stream
 // analogue of the 2-d churn threshold. Cap assignment and the CheckCaps3D
 // oracle always run over the full live multiset, so a commit stays O(n)
 // and the answer is oracle-gated exactly like every other 3-d path in the
-// repo. Facet decomposition depends on the builder's input order, not on
-// the seed (the builder consumes no randomness), so the store feeds
-// candidates in sorted order: identical candidate sets replay to
-// identical facets.
+// repo. Facet decomposition depends only on the builder's input order
+// (the builder consumes no randomness), so the store feeds candidates in
+// sorted order: identical candidate sets replay to identical facets.
 
 import (
 	"context"
@@ -47,7 +46,7 @@ func newDataset3(name string, cfg Config, pts []geom.Point3) (*Dataset, Delta, e
 		d.liveN3++
 	}
 	full := d.livePoints3()
-	res, _, err := engine.NativeHull3DFrom(context.Background(), cfg.seed(), full, d.liveDistinct3(), cfg.Sink)
+	res, _, err := engine.NativeHull3DFrom(context.Background(), 0, full, d.liveDistinct3(), cfg.Sink)
 	if err != nil {
 		return nil, Delta{}, err
 	}
@@ -177,14 +176,14 @@ func (d *Dataset) mutate3(ctx context.Context, op string, add, del []geom.Point3
 
 	end := d.cfg.span("stream-caps")
 	full := d.livePoints3()
-	res, _, err := engine.NativeHull3DFrom(ctx, d.cfg.seed(), full, culled, d.cfg.Sink)
+	res, _, err := engine.NativeHull3DFrom(ctx, 0, full, culled, d.cfg.Sink)
 	if err == nil && reason == "" && degenerate3(res) && len(culled) < d.distin3 {
 		// The candidate replay surrendered to the degenerate rung while a
 		// richer answer may exist over the full set — retry full, counted.
 		d.cfg.count("rebuilds_total", 1)
 		d.cfg.logf("stream %s: %s candidate replay degenerate at v%d; retrying over full set",
 			d.name, op, d.version+1)
-		res, _, err = engine.NativeHull3DFrom(ctx, d.cfg.seed(), full, d.liveDistinct3(), d.cfg.Sink)
+		res, _, err = engine.NativeHull3DFrom(ctx, 0, full, d.liveDistinct3(), d.cfg.Sink)
 	}
 	d.cfg.charge(len(full))
 	end()

@@ -67,11 +67,6 @@ type Config struct {
 	// Injector supplies the mutation-path fault sites (StreamSplice,
 	// StreamRebuild); nil injects nothing.
 	Injector *fault.Injector
-	// Seed is passed to the native 3-d build, which consumes no
-	// randomness: its facets follow the candidates' order, and the store
-	// feeds them in sorted order, so replays are deterministic whatever
-	// the seed.
-	Seed uint64
 	// MinChurn and ChurnFrac size the delete-repair churn threshold: a
 	// strip repair touching more than max(MinChurn, ChurnFrac·distinct)
 	// live points falls back to a full rebuild. Zero values default to
@@ -99,7 +94,6 @@ func (c Config) churnFrac() float64 {
 	return c.ChurnFrac
 }
 func (c Config) history() int { return defInt(c.History, 128) }
-func (c Config) seed() uint64 { return c.Seed ^ 0x51e4a11ed }
 func defInt(v, d int) int {
 	if v <= 0 {
 		return d

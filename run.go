@@ -223,13 +223,10 @@ func Run3D(ctx context.Context, m *Machine, rnd *Rand, pts []Point3, cfg RunConf
 	return cfg.plan(cfg.Backend, rnd, m, m.Sink()).Run3D(ctx, engine.Input3D{Full: pts, Work: pts})
 }
 
-// Seed splits: the native backend's seed and the coarse filter's sample
-// seed derive from the caller's Rand without disturbing the values the
-// counted path draws — Splits, not draws on the main stream.
-const (
-	nativeSeedSplit = 0x4A71
-	cullSplit       = 0xC011
-)
+// cullSplit derives the coarse filter's sample seed from the caller's
+// Rand without disturbing the values the counted path draws — a Split,
+// not a draw on the main stream.
+const cullSplit = 0xC011
 
 // plan builds the engine's execution plan for cfg on the resolved backend
 // (BackendAuto there runs counted). CullAuto leaves the filter off.
@@ -240,7 +237,6 @@ func (cfg RunConfig) plan(backend Backend, rnd *Rand, m *Machine, sink pram.Sink
 		Options2D: cfg.Options2D, Options3D: cfg.Options3D,
 	}
 	if rnd != nil {
-		p.Seed = rnd.Split(nativeSeedSplit).Uint64()
 		p.CullSeed = rnd.Split(cullSplit).Uint64()
 	}
 	return p

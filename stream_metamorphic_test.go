@@ -48,7 +48,7 @@ func sameChain2(a, b []Point) bool {
 func TestStreamMetamorphic2D(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{3, 41, 271} {
-		st := stream.NewStore(stream.Config{Seed: seed})
+		st := stream.NewStore(stream.Config{})
 		init := workload.Disk(seed, 300)
 		d, _, err := st.Register2("meta", init)
 		if err != nil {
