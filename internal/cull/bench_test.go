@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"inplacehull/internal/geom"
+	"inplacehull/internal/hull3d"
 	"inplacehull/internal/workload"
 )
 
-// benchPoints keeps the filters' results live.
+// benchKept keeps the benchmarks' results live.
 var benchKept int
 
 // BenchmarkPoints2 prices each 2-d policy on the two serving shapes: a
@@ -42,6 +43,37 @@ func BenchmarkPoints3(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				benchKept = len(Points3(pol, 1, pts))
+			}
+		})
+	}
+}
+
+// BenchmarkLocate3D prices locating a 2048-point ball (miss3d-ball)
+// against two upper hulls, building the locator included: the hull of the
+// coarse filter's survivors, as the cap lift locates, and the coarse
+// sample's hull, as the filter itself locates.
+func BenchmarkLocate3D(b *testing.B) {
+	pts := workload.Ball(1, 2048)
+	survivors, err := hull3d.Upper(Points3(PolicyCoarse, 1, pts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex, _ := extremes3(pts)
+	sample, ok := sampleHull(pts, 1, ex)
+	if !ok {
+		b.Fatal("flat sample")
+	}
+	for _, in := range []struct {
+		name string
+		h    hull3d.Hull
+	}{{"survivors", survivors}, {"sample", sample}} {
+		b.Run("ball/"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				loc := hull3d.NewLocator(in.h)
+				for _, p := range pts {
+					benchKept += loc.FaceAbove(p.X, p.Y)
+				}
 			}
 		})
 	}

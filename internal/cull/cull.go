@@ -156,15 +156,6 @@ const (
 	sampleMax = 1024
 )
 
-// Conservative strict-side error bounds, matching the forward-error
-// filters in internal/geom for the identical determinant expressions
-// (geom.Orientation / geom.Orientation3). Determinants within the bound
-// are treated as "uncertain" and the point is kept.
-const (
-	eps2 = 3.3306690738754716e-16 // (3 + 16·eps)·eps, eps = 2^-53
-	eps3 = 7.771561172376103e-16  // (7 + 56·eps)·eps
-)
-
 // Points2 returns the subset of pts that survives the policy's filter, in
 // input order, never mutating pts; when nothing is discarded the input
 // slice itself is returned. seed drives PolicyCoarse sampling and is
@@ -240,15 +231,36 @@ func Points3(pol Policy, seed uint64, pts []geom.Point3) []geom.Point3 {
 	})
 }
 
-// belowSample is the 3-d PolicyCoarse filter: the upper faces of the hull
-// of a coarse sample (see sampleSize) widened by the axis extremes ex, a
-// grid locator over their xy-projections, and one parallel discard pass.
-// A point goes only when it is certainly strictly inside the projection
-// of the face above it and certainly strictly below that face's plane;
-// the sample's upper hull lies on or under the input's, so such a point
-// is under the input's upper hull and inside its xy-shadow. A
-// non-finite sample point or a flat sample keeps everything.
+// belowSample is the 3-d PolicyCoarse filter: the upper hull of a coarse
+// sample (sampleHull), a walk over its upper faces, and one parallel
+// discard pass. A point goes only when it is strictly inside the
+// projection of the face above it and certainly strictly below that
+// face's plane; the sample's upper hull lies on or under the input's, so
+// such a point is under the input's upper hull and inside its xy-shadow.
+// A non-finite sample point or a flat sample keeps everything.
 func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point3 {
+	h, ok := sampleHull(pts, seed, ex)
+	if !ok {
+		return pts
+	}
+	loc := hull3d.NewLocator(h)
+	faces := loc.Faces()
+	return survivors(pts, func(p geom.Point3) bool {
+		fi, inside := loc.Locate(p.X, p.Y) // −1 for NaN x or y: keep
+		if !inside {
+			return false
+		}
+		f := faces[fi]
+		// UpperFaces orients every face CCW in xy, so a point below the
+		// plane has a negative Orientation3.
+		return strictSign(geom.Orientation3Det(h.Pts[f.A], h.Pts[f.B], h.Pts[f.C], p)) < 0
+	})
+}
+
+// sampleHull builds the upper hull of the coarse 3-d sample: sampleSize
+// seeded picks of pts widened by the axis extremes ex. It reports false
+// when a sample point is not finite or the sample is flat.
+func sampleHull(pts []geom.Point3, seed uint64, ex [6]geom.Point3) (hull3d.Hull, bool) {
 	m := sampleSize(len(pts))
 	r := rng.New(seed ^ sampleSalt)
 	sample := make([]geom.Point3, 0, m+len(ex))
@@ -258,30 +270,12 @@ func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point
 	sample = append(sample, ex[:]...)
 	for _, p := range sample {
 		if !p.IsFinite() {
-			return pts
+			return hull3d.Hull{}, false
 		}
 	}
 	h, err := hull3d.Upper(sample)
-	if err != nil {
-		return pts
-	}
-	faces := h.UpperFaces()
-	loc := hull3d.NewLocator(h.Pts, faces)
-	return survivors(pts, func(p geom.Point3) bool {
-		fi := loc.FaceAbove(p.X, p.Y) // −1 for NaN x or y: keep
-		if fi < 0 {
-			return false
-		}
-		a, b, c := h.Pts[faces[fi].A], h.Pts[faces[fi].B], h.Pts[faces[fi].C]
-		q := xy(p)
-		// UpperFaces orients every face CCW in xy, and for such a face the
-		// un-negated Shewchuk determinant is positive below the plane.
-		return strictLeft(xy(a), xy(b), q) && strictLeft(xy(b), xy(c), q) &&
-			strictLeft(xy(c), xy(a), q) && orient3Strict(a, b, c, p) > 0
-	})
+	return h, err == nil
 }
-
-func xy(p geom.Point3) geom.Point { return geom.Point{X: p.X, Y: p.Y} }
 
 // survivors runs discard over pts in one parallel pass and returns the
 // points it does not discard, in input order — the input slice itself
@@ -437,12 +431,11 @@ func convexCCW(cand []geom.Point) []geom.Point {
 }
 
 // strictLeft reports whether p is CERTAINLY strictly left of the directed
-// line u→w: the raw cross determinant must clear the conservative error
+// line u→w: geom.Orientation's float determinant must clear its error
 // bound. Any NaN/Inf contamination makes the comparison false — keep.
 func strictLeft(u, w, p geom.Point) bool {
-	t1 := (w.X - u.X) * (p.Y - u.Y)
-	t2 := (w.Y - u.Y) * (p.X - u.X)
-	return t1-t2 > eps2*(math.Abs(t1)+math.Abs(t2))
+	det, bound := geom.OrientationDet(u, w, p)
+	return det > bound
 }
 
 // insideStrict is the all-edges interior test for a CCW convex polygon:
@@ -451,7 +444,8 @@ func strictLeft(u, w, p geom.Point) bool {
 func insideStrict(poly []geom.Point, p geom.Point) bool {
 	n := len(poly)
 	for i := 0; i < n; i++ {
-		if !strictLeft(poly[i], poly[(i+1)%n], p) {
+		// strictLeft, written out: the filter inlines here, not there.
+		if det, bound := geom.OrientationDet(poly[i], poly[(i+1)%n], p); !(det > bound) {
 			return false
 		}
 	}
@@ -556,32 +550,16 @@ func extremes3(pts []geom.Point3) (ex [6]geom.Point3, ok bool) {
 	return ex, true
 }
 
-// orient3Strict returns +1 (certainly positive side), −1 (certainly
-// negative side) or 0 (uncertain, degenerate, or NaN/Inf-poisoned) for
-// the plane through (a, b, c) against d — the same Shewchuk determinant
-// expression and error bound as geom.Orientation3's filter stage, without
-// the exact-arithmetic fallback: an uncertain sign keeps the point, which
-// is the conservative direction here.
-func orient3Strict(a, b, c, d geom.Point3) int {
-	adx, ady, adz := a.X-d.X, a.Y-d.Y, a.Z-d.Z
-	bdx, bdy, bdz := b.X-d.X, b.Y-d.Y, b.Z-d.Z
-	cdx, cdy, cdz := c.X-d.X, c.Y-d.Y, c.Z-d.Z
-
-	bdxcdy := bdx * cdy
-	cdxbdy := cdx * bdy
-	cdxady := cdx * ady
-	adxcdy := adx * cdy
-	adxbdy := adx * bdy
-	bdxady := bdx * ady
-
-	det := adz*(bdxcdy-cdxbdy) + bdz*(cdxady-adxcdy) + cdz*(adxbdy-bdxady)
-	permanent := (math.Abs(bdxcdy)+math.Abs(cdxbdy))*math.Abs(adz) +
-		(math.Abs(cdxady)+math.Abs(adxcdy))*math.Abs(bdz) +
-		(math.Abs(adxbdy)+math.Abs(bdxady))*math.Abs(cdz)
-	if det > eps3*permanent {
+// strictSign returns +1 (certainly positive), −1 (certainly negative) or
+// 0 (uncertain, degenerate, or NaN/Inf-poisoned) for a float determinant
+// and its error bound from a geom filter — the filter without its exact
+// fallback: an uncertain sign keeps the point, which is the conservative
+// direction here.
+func strictSign(det, bound float64) int {
+	switch {
+	case det > bound:
 		return 1
-	}
-	if det < -eps3*permanent {
+	case det < -bound:
 		return -1
 	}
 	return 0
@@ -594,8 +572,8 @@ func insideTetStrict(t [4]geom.Point3, p geom.Point3) bool {
 	faces := [4][4]int{{1, 2, 3, 0}, {0, 2, 3, 1}, {0, 1, 3, 2}, {0, 1, 2, 3}}
 	for _, f := range faces {
 		a, b, c, opp := t[f[0]], t[f[1]], t[f[2]], t[f[3]]
-		s := orient3Strict(a, b, c, opp)
-		if s == 0 || orient3Strict(a, b, c, p) != s {
+		s := strictSign(geom.Orientation3Det(a, b, c, opp))
+		if s == 0 || strictSign(geom.Orientation3Det(a, b, c, p)) != s {
 			return false
 		}
 	}

@@ -27,8 +27,9 @@ func width() int {
 
 // Parallel2 runs a and b, forking b onto another goroutine when a token is
 // available and inlining both otherwise. A panic on either side is
-// re-raised on the caller's goroutine after both complete, so the fork
-// tree unwinds like ordinary sequential code.
+// re-raised on the caller's goroutine after the forked side has returned
+// (a's when both panic), so the fork tree unwinds like ordinary
+// sequential code and holds no token once the panic reaches the caller.
 func Parallel2(a, b func()) {
 	select {
 	case tokens <- struct{}{}:
@@ -40,7 +41,14 @@ func Parallel2(a, b func()) {
 			}()
 			b()
 		}()
+		joined := false
+		defer func() {
+			if !joined {
+				<-done // a is unwinding: join b before its panic goes on
+			}
+		}()
 		a()
+		joined = true
 		if r := <-done; r != nil {
 			panic(r)
 		}

@@ -3,6 +3,7 @@ package fork
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeDisjointly(t *testing.T) {
@@ -48,6 +49,46 @@ func TestParallel2PanicPropagates(t *testing.T) {
 	}
 	check("left", func() { Parallel2(func() { panic("boom") }, func() {}) })
 	check("right", func() { Parallel2(func() {}, func() { panic("boom") }) })
+}
+
+// TestParallel2JoinsBeforePanic: when the inline side panics, the forked
+// side has returned, and given its token back, by the time the panic
+// reaches the caller. The forked side is still blocked when a panics and
+// is released only 20 ms later, so a Parallel2 that re-raised at once
+// would let the caller see it running.
+func TestParallel2JoinsBeforePanic(t *testing.T) {
+	if cap(tokens) == 0 {
+		t.Skip("no fork tokens at GOMAXPROCS=1: both sides run inline")
+	}
+	var running atomic.Bool
+	started, release := make(chan struct{}), make(chan struct{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic did not propagate")
+			}
+		}()
+		Parallel2(func() {
+			select {
+			case <-started:
+			case <-time.After(2 * time.Second):
+				t.Error("b never started: no token to fork it")
+			}
+			time.AfterFunc(20*time.Millisecond, func() { close(release) })
+			panic("boom")
+		}, func() {
+			running.Store(true)
+			close(started)
+			<-release
+			running.Store(false)
+		})
+	}()
+	if running.Load() {
+		t.Fatal("a's panic reached the caller while b was still running")
+	}
+	if len(tokens) != 0 {
+		t.Fatalf("%d tokens held after the panic", len(tokens))
+	}
 }
 
 // TestParallel2NoTokenLeak exercises the pool deep enough that a leaked

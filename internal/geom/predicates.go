@@ -14,18 +14,11 @@ import (
 // predicate is re-evaluated exactly with math/big rationals, so the result
 // is always the sign of the exact determinant.
 func Orientation(a, b, c Point) int {
-	detLeft := (a.X - c.X) * (b.Y - c.Y)
-	detRight := (a.Y - c.Y) * (b.X - c.X)
-	det := detLeft - detRight
-
-	// Shewchuk-style static filter: the error of det is bounded by
-	// errBound·(|detLeft|+|detRight|).
-	detSum := math.Abs(detLeft) + math.Abs(detRight)
-	const errBound = 3.3306690738754716e-16 // (3 + 16·eps)·eps, eps = 2^-53
-	if det > errBound*detSum {
+	det, bound := OrientationDet(a, b, c)
+	if det > bound {
 		return 1
 	}
-	if det < -errBound*detSum {
+	if det < -bound {
 		return -1
 	}
 	// Coincident points make the determinant exactly zero; the check is
@@ -35,6 +28,19 @@ func Orientation(a, b, c Point) int {
 		return 0
 	}
 	return orientationExact(a, b, c)
+}
+
+// OrientationDet is Orientation's static float filter (Shewchuk): the
+// determinant, positive when c is left of a→b, and the bound on its
+// forward error. Whenever |det| > bound, sign(det) is the exact
+// orientation; otherwise only Orientation decides. It is small enough to
+// inline, so a hot loop can filter without a call and call Orientation
+// only when the filter cannot decide.
+func OrientationDet(a, b, c Point) (det, bound float64) {
+	detLeft := (a.X - c.X) * (b.Y - c.Y)
+	detRight := (a.Y - c.Y) * (b.X - c.X)
+	const errBound = 3.3306690738754716e-16 // (3 + 16·eps)·eps, eps = 2^-53
+	return detLeft - detRight, errBound * (math.Abs(detLeft) + math.Abs(detRight))
 }
 
 func orientationExact(a, b, c Point) int {
@@ -65,6 +71,24 @@ func orientationExact(a, b, c Point) int {
 // i.e. +1 if d lies on the positive side of the plane through (a, b, c)
 // oriented by the right-hand rule, −1 on the negative side, 0 if coplanar.
 func Orientation3(a, b, c, d Point3) int {
+	det, bound := Orientation3Det(a, b, c, d)
+	if det > bound {
+		return 1
+	}
+	if det < -bound {
+		return -1
+	}
+	if a == b || a == c || a == d || b == c || b == d || c == d {
+		return 0
+	}
+	return orientation3Exact(a, b, c, d)
+}
+
+// Orientation3Det is Orientation3's static float filter, as
+// OrientationDet is Orientation's: the determinant det(b−a, c−a, d−a)
+// and the bound on its forward error; sign(det) is exact whenever
+// |det| > bound.
+func Orientation3Det(a, b, c, d Point3) (det, bound float64) {
 	adx, ady, adz := a.X-d.X, a.Y-d.Y, a.Z-d.Z
 	bdx, bdy, bdz := b.X-d.X, b.Y-d.Y, b.Z-d.Z
 	cdx, cdy, cdz := c.X-d.X, c.Y-d.Y, c.Z-d.Z
@@ -76,24 +100,14 @@ func Orientation3(a, b, c, d Point3) int {
 	adxbdy := adx * bdy
 	bdxady := bdx * ady
 
-	det := adz*(bdxcdy-cdxbdy) + bdz*(cdxady-adxcdy) + cdz*(adxbdy-bdxady)
-
+	// The Shewchuk-style expression is det(a−d, b−d, c−d), the negative
+	// of the documented det(b−a, c−a, d−a).
+	det = -(adz*(bdxcdy-cdxbdy) + bdz*(cdxady-adxcdy) + cdz*(adxbdy-bdxady))
 	permanent := (math.Abs(bdxcdy)+math.Abs(cdxbdy))*math.Abs(adz) +
 		(math.Abs(cdxady)+math.Abs(adxcdy))*math.Abs(bdz) +
 		(math.Abs(adxbdy)+math.Abs(bdxady))*math.Abs(cdz)
-	// The Shewchuk-style expression above is det(a−d, b−d, c−d), which is
-	// the negative of the documented det(b−a, c−a, d−a); flip the sign.
 	const errBound = 7.771561172376103e-16 // (7 + 56·eps)·eps
-	if det > errBound*permanent {
-		return -1
-	}
-	if det < -errBound*permanent {
-		return 1
-	}
-	if a == b || a == c || a == d || b == c || b == d || c == d {
-		return 0
-	}
-	return orientation3Exact(a, b, c, d)
+	return det, errBound * permanent
 }
 
 func orientation3Exact(a, b, c, d Point3) int {

@@ -23,7 +23,8 @@ func BenchmarkIncremental(b *testing.B) {
 }
 
 // BenchmarkUpper is the upper-hull builder on the inputs of
-// BenchmarkIncremental, plus the sphere and the cap at 16 384 points,
+// BenchmarkIncremental, the served 2048-point ball, and the sphere and
+// the cap at 16 384 points,
 // where h ≈ n and every outside set is re-partitioned many times.
 func BenchmarkUpper(b *testing.B) {
 	inputs := []struct {
@@ -31,6 +32,7 @@ func BenchmarkUpper(b *testing.B) {
 		pts  []geom.Point3
 	}{
 		{"ball/1024", workload.Ball(1, 1<<10)},
+		{"ball/2048", workload.Ball(1, 1<<11)},
 		{"ball/8192", workload.Ball(1, 1<<13)},
 		{"sphere/16384", workload.Sphere(1, 1<<14)},
 		{"cap/16384", workload.Cap(1, 1<<14)},

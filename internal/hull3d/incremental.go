@@ -28,6 +28,15 @@ type Tri struct {
 type Hull struct {
 	Pts   []geom.Point3
 	Faces []Tri
+	// Nb[i][e] is the index in Faces of the face across edge e of
+	// Faces[i] (edge 0 is A→B, 1 is B→C, 2 is C→A), or −1 when Faces
+	// holds none. Upper and IncrementalOracle record it from their face
+	// arena; GiftWrap leaves it nil.
+	Nb [][3]int
+	// noisy marks a build under a noisy oracle: its faces need not tile
+	// the xy-shadow, so a Locator confirms with the linear scan any walk
+	// that leaves it.
+	noisy bool
 }
 
 // face is one triangle of the flat face arena. Faces are never removed:
@@ -252,19 +261,39 @@ func IncrementalOracle(rnd *rng.Stream, pts []geom.Point3, o *geom.NoisyOracle) 
 		}
 	}
 
+	h := b.hull(func(*face) bool { return true })
+	h.noisy = o != nil
+	return h, nil
+}
+
+// hull returns the live faces that keep accepts, in arena order, with
+// their neighbours among them (−1 across a face keep rejects).
+func (b *builder) hull(keep func(*face) bool) Hull {
+	idx := make([]int, len(b.faces)) // arena face → index in h.Faces, or −1
 	live := 0
 	for f := range b.faces {
-		if !b.faces[f].dead {
+		idx[f] = -1
+		if fc := &b.faces[f]; !fc.dead && keep(fc) {
+			idx[f] = live
 			live++
 		}
 	}
-	h := Hull{Pts: pts, Faces: make([]Tri, 0, live)}
+	h := Hull{Pts: b.pts, Faces: make([]Tri, 0, live), Nb: make([][3]int, 0, live)}
 	for f := range b.faces {
-		if fc := &b.faces[f]; !fc.dead {
-			h.Faces = append(h.Faces, Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])})
+		if idx[f] < 0 {
+			continue
 		}
+		fc := &b.faces[f]
+		h.Faces = append(h.Faces, Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])})
+		nb := [3]int{-1, -1, -1}
+		for e, g := range fc.nb {
+			if g >= 0 {
+				nb[e] = idx[g]
+			}
+		}
+		h.Nb = append(h.Nb, nb)
 	}
-	return h, nil
+	return h
 }
 
 // hEdge is a horizon edge (u, v) of the dying face dead, with ok the

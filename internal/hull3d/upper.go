@@ -16,14 +16,18 @@ import (
 func (h Hull) UpperFaces() []Tri {
 	var out []Tri
 	for _, f := range h.Faces {
-		a, b, c := h.Pts[f.A], h.Pts[f.B], h.Pts[f.C]
-		// The z-sign of the outward normal is exactly the 2-d orientation
-		// of the face's xy-projection (outward + upward ⇔ CCW projection).
-		if geom.Orientation(pxy(a), pxy(b), pxy(c)) > 0 {
+		if isUpper(h.Pts, f) {
 			out = append(out, f)
 		}
 	}
 	return out
+}
+
+// isUpper reports whether the hull face f is an upper face: the z-sign of
+// its outward normal is exactly the 2-d orientation of its xy-projection
+// (outward + upward ⇔ CCW projection).
+func isUpper(pts []geom.Point3, f Tri) bool {
+	return geom.Orientation(pxy(pts[f.A]), pxy(pts[f.B]), pxy(pts[f.C])) > 0
 }
 
 func pxy(p geom.Point3) geom.Point { return geom.Point{X: p.X, Y: p.Y} }
@@ -48,136 +52,6 @@ func covers(pts []geom.Point3, f Tri, q geom.Point) bool {
 	return geom.Orientation(a, b, q) >= 0 &&
 		geom.Orientation(b, c, q) >= 0 &&
 		geom.Orientation(c, a, q) >= 0
-}
-
-// Locator answers FaceAbove queries against one face list without the
-// linear scan: a uniform grid over the faces' xy bounding box, each cell
-// listing, in increasing face index, the faces whose xy bounding box
-// meets it. A face whose projection contains a point has that point in
-// its bounding box, and the cell map is monotone, so the point's cell
-// lists every face FaceAbove could return; scanning it in index order
-// returns exactly FaceAbove's answer.
-type Locator struct {
-	pts            []geom.Point3
-	faces          []Tri
-	x0, y0, x1, y1 float64 // grid extent: the faces' xy bounding box
-	sx, sy         float64 // cells per unit length
-	nx, ny         int
-	start          []int32 // cell c lists idx[start[c]:start[c+1]]
-	idx            []int32
-}
-
-// NewLocator builds the grid for faces (indices into pts, whose
-// coordinates must be finite). It aims at about one cell per face and
-// coarsens the grid while the cell lists would exceed four entries per
-// face — long sliver faces can otherwise cover many cells each.
-func NewLocator(pts []geom.Point3, faces []Tri) *Locator {
-	l := &Locator{pts: pts, faces: faces}
-	l.x0, l.y0 = math.Inf(1), math.Inf(1)
-	l.x1, l.y1 = math.Inf(-1), math.Inf(-1)
-	if len(faces) == 0 {
-		return l
-	}
-	type box struct{ x0, y0, x1, y1 float64 }
-	boxes := make([]box, len(faces))
-	for i, f := range faces {
-		a, b, c := pts[f.A], pts[f.B], pts[f.C]
-		bx := box{min(a.X, b.X, c.X), min(a.Y, b.Y, c.Y), max(a.X, b.X, c.X), max(a.Y, b.Y, c.Y)}
-		boxes[i] = bx
-		l.x0, l.y0 = min(l.x0, bx.x0), min(l.y0, bx.y0)
-		l.x1, l.y1 = max(l.x1, bx.x1), max(l.y1, bx.y1)
-	}
-	w, h := l.x1-l.x0, l.y1-l.y0
-	side := math.Sqrt(w * h / float64(len(faces)))
-	l.nx, l.ny = cells(w, side, len(faces)), cells(h, side, len(faces))
-	budget := 4*len(faces) + 64
-	for {
-		l.nx, l.sx = scale(l.nx, w)
-		l.ny, l.sy = scale(l.ny, h)
-		total := 0
-		for _, bx := range boxes {
-			total += (l.col(bx.x1) - l.col(bx.x0) + 1) * (l.row(bx.y1) - l.row(bx.y0) + 1)
-		}
-		if total <= budget || l.nx*l.ny == 1 {
-			break
-		}
-		l.nx, l.ny = (l.nx+1)/2, (l.ny+1)/2
-	}
-	l.start = make([]int32, l.nx*l.ny+1)
-	for _, bx := range boxes {
-		for r := l.row(bx.y0); r <= l.row(bx.y1); r++ {
-			for c := l.col(bx.x0); c <= l.col(bx.x1); c++ {
-				l.start[r*l.nx+c+1]++
-			}
-		}
-	}
-	for c := 1; c < len(l.start); c++ {
-		l.start[c] += l.start[c-1]
-	}
-	l.idx = make([]int32, l.start[len(l.start)-1])
-	fill := append([]int32(nil), l.start[:len(l.start)-1]...)
-	for i, bx := range boxes {
-		for r := l.row(bx.y0); r <= l.row(bx.y1); r++ {
-			for c := l.col(bx.x0); c <= l.col(bx.x1); c++ {
-				l.idx[fill[r*l.nx+c]] = int32(i)
-				fill[r*l.nx+c]++
-			}
-		}
-	}
-	return l
-}
-
-// cells is the number of grid cells of the given side along an extent,
-// between 1 and limit.
-func cells(extent, side float64, limit int) int {
-	n := math.Ceil(extent / side)
-	if !(n >= 1) {
-		return 1
-	}
-	return int(min(n, float64(limit)))
-}
-
-// scale returns the cell count along an axis and its cells per unit
-// length, collapsing to one cell when the extent admits no finite scale.
-func scale(n int, extent float64) (int, float64) {
-	s := float64(n) / extent
-	if n <= 1 || !(extent > 0) || math.IsInf(s, 0) {
-		return 1, 0
-	}
-	return n, s
-}
-
-// col and row map a coordinate inside the grid extent to its cell; both
-// are monotone, which is what makes a bounding box's cell range cover
-// every cell of a point inside it.
-func (l *Locator) col(x float64) int {
-	if l.nx == 1 {
-		return 0
-	}
-	return min(int((x-l.x0)*l.sx), l.nx-1)
-}
-
-func (l *Locator) row(y float64) int {
-	if l.ny == 1 {
-		return 0
-	}
-	return min(int((y-l.y0)*l.sy), l.ny-1)
-}
-
-// FaceAbove returns FaceAbove(pts, faces, x, y) for the locator's pts and
-// faces and a finite (x, y).
-func (l *Locator) FaceAbove(x, y float64) int {
-	if !(x >= l.x0 && x <= l.x1 && y >= l.y0 && y <= l.y1) {
-		return -1 // outside every face's bounding box
-	}
-	q := geom.Point{X: x, Y: y}
-	cell := l.row(y)*l.nx + l.col(x)
-	for _, i := range l.idx[l.start[cell]:l.start[cell+1]] {
-		if covers(l.pts, l.faces[i], q) {
-			return int(i)
-		}
-	}
-	return -1
 }
 
 // VerifyUpper checks the §4.3 output contract: every input point lies on
@@ -250,8 +124,9 @@ func SameUpper(a, b Hull) error {
 // Upper fails with the same errors on fewer than four points and on
 // coincident, collinear and coplanar inputs. The build consumes no
 // randomness and is a function of the input order. The returned Faces
-// are exactly the upper faces, each counter-clockwise in xy; the hull is
-// open at the bottom, so Verify does not apply. With exact predicates
+// are exactly the upper faces, each counter-clockwise in xy, and Nb links
+// them, with −1 across the shadow boundary; the hull is open at the
+// bottom, so Verify does not apply. With exact predicates
 // every horizon is a simple cycle; if one is not, Upper returns a
 // hullerr.Internal error.
 func Upper(pts []geom.Point3) (Hull, error) {
@@ -348,18 +223,12 @@ func Upper(pts []geom.Point3) (Hull, error) {
 		}
 	}
 
-	h := Hull{Pts: pts}
-	for f := range bd.faces {
-		fc := &bd.faces[f]
-		if fc.dead || fc.v[0] == inf || fc.v[1] == inf || fc.v[2] == inf {
-			continue
+	return bd.hull(func(fc *face) bool {
+		if fc.v[0] == inf || fc.v[1] == inf || fc.v[2] == inf {
+			return false
 		}
-		t := Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])}
-		if geom.Orientation(pxy(pts[t.A]), pxy(pts[t.B]), pxy(pts[t.C])) > 0 {
-			h.Faces = append(h.Faces, t)
-		}
-	}
-	return h, nil
+		return isUpper(pts, Tri{A: int(fc.v[0]), B: int(fc.v[1]), C: int(fc.v[2])})
+	}), nil
 }
 
 // firstSimplex is Incremental's initial-simplex search in input order:
@@ -408,7 +277,8 @@ func xyTriangle(pts []geom.Point3, s [4]int) (a, b, c int32) {
 
 // sees reports whether q strictly sees f on the surface closed by the
 // point at infinity, vertex len(b.pts). A wall, rotated to (u, v, ∞), is
-// seen from the open xy half-plane to the left of u→v.
+// seen from the open xy half-plane to the left of u→v. The float filters
+// run inline; the exact predicates decide only what they cannot.
 func (b *builder) sees(f *face, q int32) bool {
 	inf := int32(len(b.pts))
 	u, v, w := f.v[0], f.v[1], f.v[2]
@@ -419,9 +289,19 @@ func (b *builder) sees(f *face, q int32) bool {
 		u, v = w, u
 	case w:
 	default:
-		return geom.Orientation3(b.pts[u], b.pts[v], b.pts[w], b.pts[q]) > 0
+		pu, pv, pw, pq := b.pts[u], b.pts[v], b.pts[w], b.pts[q]
+		det, bound := geom.Orientation3Det(pu, pv, pw, pq)
+		if det > bound || det < -bound {
+			return det > 0
+		}
+		return geom.Orientation3(pu, pv, pw, pq) > 0
 	}
-	return geom.Orientation(pxy(b.pts[u]), pxy(b.pts[v]), pxy(b.pts[q])) > 0
+	pu, pv, pq := pxy(b.pts[u]), pxy(b.pts[v]), pxy(b.pts[q])
+	det, bound := geom.OrientationDet(pu, pv, pq)
+	if det > bound || det < -bound {
+		return det > 0
+	}
+	return geom.Orientation(pu, pv, pq) > 0
 }
 
 // assign lists q on the first of faces it strictly sees, if any.

@@ -144,12 +144,12 @@ func TestHull3DFromFlatSurvivors(t *testing.T) {
 func abs(x float64) float64 { return max(x, -x) }
 
 // BenchmarkHull3DFrom is the native 3-d cache-miss path of a served
-// 2048-point ball: culling outside the timer, then the incremental hull
-// over the survivors and the cap lift over all points — over the
-// octahedron's survivors and over the upper filter's.
+// 2048-point ball: culling outside the timer, then the upper hull over
+// the survivors, the cap lift and the oracle over all points — unfiltered,
+// over the octahedron's survivors and over the upper filter's.
 func BenchmarkHull3DFrom(b *testing.B) {
 	pts := workload.Ball(1, 2048)
-	for _, pol := range []cull.Policy{cull.PolicyOctagon, cull.PolicyCoarse} {
+	for _, pol := range []cull.Policy{cull.PolicyOff, cull.PolicyOctagon, cull.PolicyCoarse} {
 		culled := cull.Points3(pol, 1, pts)
 		b.Run(pol.String(), func(b *testing.B) {
 			b.ReportAllocs()

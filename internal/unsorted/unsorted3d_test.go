@@ -30,13 +30,14 @@ func verify3D(t *testing.T, pts []geom.Point3, res Result3D) {
 	}
 }
 
-// underFacetLoose allows boundary coverage for anchor points (facet
-// vertices and quadrant survivors assigned at facet corners).
+// underFacetLoose is CheckCaps3D's coverage clause: a facet vertex, or a
+// point inside or on the facet's projection (boundary coverage for
+// quadrant survivors assigned at facet corners).
 func underFacetLoose(c lp.Solution3D, p geom.Point3) bool {
 	if p == c.A || p == c.B || p == c.C {
 		return true
 	}
-	return underFacet(c, p) || !c.Violates(p)
+	return underFacet(c, p)
 }
 
 func TestHull3DWorkloads(t *testing.T) {
