@@ -95,7 +95,7 @@ func main() {
 		hedge    = flag.Duration("hedge", 20*time.Millisecond, "scatter straggler threshold before a hedged shard request launches; 0 disables hedging")
 		partial  = flag.Bool("allow-partial", true, "answer scattered queries partially (HTTP 206 + typed PartialHull) when shards stay unreachable")
 		backend  = flag.String("backend", "native", "default execution engine: native (direct, host-speed) or counted (simulated PRAM); queries may override per request")
-		cullFlag = flag.String("cull", "auto", "default admission-side interior-point filter: auto (octagon in 2-d, coarse in 3-d), off, quad, octagon, or coarse; queries may override per request")
+		cullFlag = flag.String("cull", "auto", "default admission-side interior-point filter: auto (octagon in 2-d, coarse in 3-d), off, quad, octagon, or coarse (quad and octagon are 2-d filters and mean coarse in 3-d); queries may override per request")
 		streamDS = flag.String("stream-datasets", "", "comma-separated kind:n specs preregistered as mutable stream datasets named kind-n-stream (empty for none)")
 		churn    = flag.Int("stream-churn", 0, "stream delete-repair churn threshold in live points; past it a repair falls back to a full rebuild (0 = default 256)")
 	)

@@ -18,7 +18,6 @@ import (
 	"inplacehull/internal/hull3d"
 	"inplacehull/internal/hullerr"
 	"inplacehull/internal/lp"
-	"inplacehull/internal/rng"
 	"inplacehull/internal/unsorted"
 )
 
@@ -43,12 +42,12 @@ type Result3D struct {
 func (r Result3D) Met() bool { return r.Eps <= r.Tol }
 
 // Upper3D computes a certified ε-approximate 3-d upper-hull cap cover.
-// eps is relative to the bounding-box diagonal; rnd drives the sampled
-// hull's randomized incremental construction (the caller controls
-// determinism by seeding it). Selection consults o; certification is
-// exact. The returned error is always typed and only reports
-// input-contract violations.
-func Upper3D(pts []geom.Point3, eps float64, o *geom.NoisyOracle, rnd *rng.Stream) (Result3D, error) {
+// eps is relative to the bounding-box diagonal. The sampled hull is
+// built by hull3d.Upper, which draws no randomness, so the result is a
+// function of the input and the oracle's answers. Selection consults o;
+// certification is exact. The returned error is always typed and only
+// reports input-contract violations.
+func Upper3D(pts []geom.Point3, eps float64, o *geom.NoisyOracle) (Result3D, error) {
 	const op = "approx.Upper3D"
 	if err := hullerr.CheckFinite3D(op, pts); err != nil {
 		return Result3D{}, err
@@ -80,7 +79,7 @@ func Upper3D(pts []geom.Point3, eps float64, o *geom.NoisyOracle, rnd *rng.Strea
 		if !full {
 			cand = cellMaxima(pts, g, lo, hi, o)
 		}
-		facets, facetOf, excess := buildCaps(pts, cand, rnd.Split(uint64(round)))
+		facets, facetOf, excess := buildCaps(pts, cand)
 		res.Rounds, res.Samples = round, len(cand)
 		if excess <= res.Tol || full {
 			res.Facets, res.FacetOf, res.Eps = facets, facetOf, excess
@@ -128,12 +127,13 @@ func cellMaxima(pts []geom.Point3, g int, lo, hi geom.Point3, o *geom.NoisyOracl
 	return append(cand, unsorted.TopCap(pts).A)
 }
 
-// buildCaps constructs the sampled upper hull and assigns every input
+// buildCaps constructs the sampled upper hull (hull3d.Upper, as the
+// coarse cull filter builds its sample hull) and assigns every input
 // point a cap, measuring the certificate as it goes. A sample the
-// incremental construction rejects (degenerate geometry) degrades to the
-// single global-top cap, under which no point has positive excess.
-func buildCaps(pts, sample []geom.Point3, rnd *rng.Stream) ([]lp.Solution3D, []int, float64) {
-	h, err := hull3d.Incremental(rnd, sample)
+// builder rejects (degenerate geometry) degrades to the single
+// global-top cap, under which no point has positive excess.
+func buildCaps(pts, sample []geom.Point3) ([]lp.Solution3D, []int, float64) {
+	h, err := hull3d.Upper(sample)
 	if err != nil {
 		return []lp.Solution3D{unsorted.TopCap(pts)}, make([]int, len(pts)), 0
 	}

@@ -136,7 +136,7 @@ func TestUpper3DCertificate(t *testing.T) {
 		for _, n := range []int{1, 4, 64, 256} {
 			for _, eps := range []float64{0.2, 0.05} {
 				pts := g.Gen(13, n)
-				res, err := Upper3D(pts, eps, nil, rng.New(42))
+				res, err := Upper3D(pts, eps, nil)
 				if err != nil {
 					t.Fatalf("%s/n=%d/eps=%g: %v", g.Name, n, eps, err)
 				}
@@ -166,7 +166,7 @@ func TestUpper3DUnderNoise(t *testing.T) {
 	for _, p := range []float64{0.1, 0.2} {
 		o := &geom.NoisyOracle{Flip: flipSource(99, p), Votes: geom.VotesFor(p, 1e-9)}
 		pts := workload.Gens3D[0].Gen(7, 256)
-		res, err := Upper3D(pts, 0.05, o, rng.New(1))
+		res, err := Upper3D(pts, 0.05, o)
 		if err != nil {
 			t.Fatalf("p=%g: %v", p, err)
 		}
@@ -188,8 +188,8 @@ func TestDeterministic(t *testing.T) {
 		t.Fatal("Upper2D not deterministic")
 	}
 	p3 := workload.Gens3D[0].Gen(21, 128)
-	c, _ := Upper3D(p3, 0.05, nil, rng.New(9))
-	d, _ := Upper3D(p3, 0.05, nil, rng.New(9))
+	c, _ := Upper3D(p3, 0.05, nil)
+	d, _ := Upper3D(p3, 0.05, nil)
 	if len(c.Facets) != len(d.Facets) || c.Eps != d.Eps {
 		t.Fatal("Upper3D not deterministic")
 	}

@@ -39,8 +39,9 @@ import (
 //     the row prices its pure overhead.
 //
 // A fourth workload, 3-d ball (uniform in a ball, n ∈ {2048, 16384}),
-// is reported, not gated: it prices the 3-d octahedron against the
-// sampled upper-hull filter that "auto" means in 3-d.
+// is reported, not gated: it prices the sampled upper-hull filter, the
+// only 3-d one (every 3-d policy but "off" resolves to "coarse"), against
+// culling off.
 //
 // Acceptance: on at least one interior-heavy 2-d workload the octagon or
 // coarse policy must at least double end-to-end throughput versus the
@@ -167,7 +168,11 @@ func measureCullServe(cfg Config) ([]CullServeRow, []string) {
 		}
 		off, _ := run("off")
 		add("off", off, 0, 1)
-		for _, pol := range []string{"octagon", "coarse"} {
+		pols := []string{"octagon", "coarse"}
+		if c.dim == 3 {
+			pols = pols[1:] // "octagon" resolves to "coarse" in 3-d
+		}
+		for _, pol := range pols {
 			lr, ratio := run(pol)
 			add(pol, lr, ratio, lr.Throughput/off.Throughput)
 		}
@@ -178,7 +183,7 @@ func measureCullServe(cfg Config) ([]CullServeRow, []string) {
 		"cull ratio is discarded/submitted points averaged over all answered queries; speedup is same-run QPS over the culling-off row",
 		"disk and cluster8 are interior-heavy (the filter earns its keep); circle is adversarial — nothing is strictly interior, the row prices pure filter overhead",
 		"acceptance: best interior-heavy speedup ≥2x with its cull ratio recorded; circle ratio ~0 (conservatism) without collapsing throughput",
-		"ball rows are 3-d and reported only: octagon is the octahedron (keeps conv), coarse the sampled upper-hull filter 3-d auto resolves to",
+		"ball rows are 3-d and reported only: coarse is the sampled upper-hull filter, which every 3-d policy but off resolves to",
 	}
 	return rows, notes
 }

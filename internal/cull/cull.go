@@ -1,45 +1,46 @@
 // Package cull is the admission-side interior-point pre-filter: before a
 // query's points reach batching, hashing, or a backend run, discard the
 // points that certainly cannot matter to the hull, so effective-n — not
-// raw-n — drives every downstream cost. Three filter families are
-// provided, all allocation-light and parallelized over the shared
-// binary-forking token pool (internal/fork):
+// raw-n — drives every downstream cost. The filters are allocation-light
+// and parallelized over the shared binary-forking token pool
+// (internal/fork). 2-d has three:
 //
 //   - Extreme-point polygons (PolicyQuad, PolicyOctagon): the classic
 //     throw-away heuristic of Akl & Toussaint as used by the
 //     quadrilateral/octagon pre-pass of Heydari & Khalifeh — find the
 //     input's extreme points in 4 (resp. 8) directions, take their convex
 //     polygon, and discard everything strictly inside it. One parallel
-//     reduction plus one parallel scan; no per-point allocation. In 3-d
-//     both use the octahedron of the 6 axis extremes.
+//     reduction plus one parallel scan; no per-point allocation.
 //
-//   - Sampled coarse hull (PolicyCoarse, 2-d): the paper-native variant —
+//   - Sampled coarse hull (PolicyCoarse): the paper-native variant —
 //     Lemma 3.1-style sampling (a seeded ~√n random sample, widened by
 //     the 8 directional extremes), an exact convex hull of the sample,
 //     then a wedge-binary-search point-in-polygon discard pass. Costs
 //     O(√n log n) to build and O(log h) per point; it adapts to the
 //     input's shape where the fixed octagon cannot.
 //
-//   - Sampled upper hull (PolicyCoarse, 3-d): the same seeded sample,
-//     widened by the 6 axis extremes, built into a 3-d upper hull
-//     (hull3d.Upper); a point is discarded when it lies certainly
-//     strictly below one of the sample's upper faces, inside that face's
-//     xy-projection. Every 3-d answer is a set of upper caps, so points
-//     under the upper hull are dead weight even when they are extreme
-//     below.
+// 3-d has one, the sampled upper hull, which every policy but PolicyOff
+// runs (Resolve3): the same seeded sample, widened by the 6 axis
+// extremes, built into a 3-d upper hull (hull3d.Upper); a point is
+// discarded when it lies certainly strictly below one of the sample's
+// upper faces, inside that face's xy-projection. Every 3-d answer is a
+// set of upper caps, so points under the upper hull are dead weight even
+// when they are extreme below.
 //
-// Correctness story (the invariant every test in this package gates on):
-// the 2-d filters and the 3-d octahedron discard a point only when it is
-// CERTAINLY strictly inside the convex hull of a candidate set C whose
-// members are themselves input points. Strict interior of conv(C) ⊆
-// strict interior of conv(input), so no discarded point can be a hull
-// vertex, lie on a hull edge, or change the hull in any way:
-// conv(survivors) == conv(input) exactly, and the canonical strict upper
-// chain of the survivors is bit-identical to that of the full input. The
-// 3-d upper filter keeps the weaker, answer-level invariant: a discarded
-// point lies strictly below the upper hull of input points and strictly
-// inside their xy-shadow, so the survivors have the same upper hull and
-// the same xy-shadow as the input, while their lower hull may shrink.
+// Correctness story, one invariant per dimension (every test in this
+// package gates on it):
+//
+//   - 2-d: conv(survivors) == conv(input). A point is discarded only when
+//     it is CERTAINLY strictly inside the convex hull of a candidate set
+//     C whose members are themselves input points. Strict interior of
+//     conv(C) ⊆ strict interior of conv(input), so no discarded point can
+//     be a hull vertex, lie on a hull edge, or change the hull in any
+//     way, and the canonical strict upper chain of the survivors is
+//     bit-identical to that of the full input.
+//   - 3-d: the survivors have the input's upper hull and xy-shadow. A
+//     discarded point lies strictly below the upper hull of input points
+//     and strictly inside their xy-shadow; the survivors' lower hull may
+//     shrink.
 //
 // "Certainly" means the strict-side tests use conservative
 // floating-point error bounds (the same Shewchuk-style filter constants
@@ -76,11 +77,12 @@ const (
 	PolicyAuto Policy = iota
 	// PolicyOff disables culling.
 	PolicyOff
-	// PolicyQuad culls against the quadrilateral of the 4 axis-extreme
-	// points (±x, ±y).
+	// PolicyQuad culls 2-d inputs against the quadrilateral of the 4
+	// axis-extreme points (±x, ±y); in 3-d it means PolicyCoarse.
 	PolicyQuad
-	// PolicyOctagon culls against the octagon of the 8 directional
-	// extremes (±x, ±y, ±(x+y), ±(x−y)).
+	// PolicyOctagon culls 2-d inputs against the octagon of the 8
+	// directional extremes (±x, ±y, ±(x+y), ±(x−y)); in 3-d it means
+	// PolicyCoarse.
 	PolicyOctagon
 	// PolicyCoarse culls against an exact convex hull of a seeded ~√n
 	// sample widened by the 8 directional extremes (2-d), or below the
@@ -133,14 +135,15 @@ func (p Policy) Resolve() Policy {
 	return p
 }
 
-// Resolve3 is Resolve for 3-d inputs: PolicyAuto means the sampled
-// upper-hull filter, which on a 2048-point ball keeps about a third of
-// the points the octahedron keeps.
+// Resolve3 is Resolve for 3-d inputs, where the sampled upper-hull
+// filter is the only one: every policy but PolicyOff resolves to
+// PolicyCoarse, so a 3-d cache key or response names the filter that
+// ran whichever wire spelling asked for it.
 func (p Policy) Resolve3() Policy {
-	if p == PolicyAuto {
-		return PolicyCoarse
+	if p == PolicyOff {
+		return PolicyOff
 	}
-	return p
+	return PolicyCoarse
 }
 
 // Filter grains: one parallel-scan leaf is a few thousand strict-side
@@ -190,45 +193,14 @@ func Points2(pol Policy, seed uint64, pts []geom.Point) []geom.Point {
 
 // Points3 returns the subset of pts surviving the 3-d filter, in input
 // order, never mutating pts; when nothing is discarded the input slice
-// itself is returned. PolicyQuad and PolicyOctagon use the octahedron
-// analogue of the extreme-point polygon: the 6 axis extremes (±x, ±y, ±z)
-// split into 4 tetrahedra around the (x−, x+) axis, and a point is
-// discarded only when it is certainly strictly inside one of them — a
-// test that is unconditionally sound (each tetrahedron's vertices are
-// input points, so its strict interior is strict hull interior) no matter
-// how degenerate the extreme configuration is, and that keeps
-// conv(survivors) == conv(pts). PolicyCoarse (and PolicyAuto, see
-// Resolve3) discards the points certainly strictly below the upper hull
-// of a sample seeded by seed, keeping only the upper hull and the
-// xy-shadow of pts (belowSample).
+// itself is returned. Every policy but PolicyOff (see Resolve3) discards
+// the points certainly strictly below the upper hull of a sample seeded
+// by seed, keeping the upper hull and the xy-shadow of pts (belowSample).
 func Points3(pol Policy, seed uint64, pts []geom.Point3) []geom.Point3 {
-	pol = pol.Resolve3()
-	if pol == PolicyOff || len(pts) < minN {
+	if pol.Resolve3() == PolicyOff || len(pts) < minN {
 		return pts
 	}
-	ex, ok := extremes3(pts)
-	if !ok {
-		return pts
-	}
-	if pol == PolicyCoarse {
-		return belowSample(pts, seed, ex)
-	}
-	// Tetrahedra share the x-axis diagonal; each pairs one of ±y with one
-	// of ±z. Their union fills the octahedron for well-shaped inputs.
-	tets := [4][4]geom.Point3{
-		{ex[0], ex[1], ex[2], ex[4]}, // x−, x+, y+, z+
-		{ex[0], ex[1], ex[2], ex[5]}, // x−, x+, y+, z−
-		{ex[0], ex[1], ex[3], ex[4]}, // x−, x+, y−, z+
-		{ex[0], ex[1], ex[3], ex[5]}, // x−, x+, y−, z−
-	}
-	return survivors(pts, func(p geom.Point3) bool {
-		for t := range tets {
-			if insideTetStrict(tets[t], p) {
-				return true
-			}
-		}
-		return false
-	})
+	return belowSample(pts, seed)
 }
 
 // belowSample is the 3-d PolicyCoarse filter: the upper hull of a coarse
@@ -238,8 +210,8 @@ func Points3(pol Policy, seed uint64, pts []geom.Point3) []geom.Point3 {
 // face's plane; the sample's upper hull lies on or under the input's, so
 // such a point is under the input's upper hull and inside its xy-shadow.
 // A non-finite sample point or a flat sample keeps everything.
-func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point3 {
-	h, ok := sampleHull(pts, seed, ex)
+func belowSample(pts []geom.Point3, seed uint64) []geom.Point3 {
+	h, ok := sampleHull(pts, seed)
 	if !ok {
 		return pts
 	}
@@ -258,9 +230,11 @@ func belowSample(pts []geom.Point3, seed uint64, ex [6]geom.Point3) []geom.Point
 }
 
 // sampleHull builds the upper hull of the coarse 3-d sample: sampleSize
-// seeded picks of pts widened by the axis extremes ex. It reports false
-// when a sample point is not finite or the sample is flat.
-func sampleHull(pts []geom.Point3, seed uint64, ex [6]geom.Point3) (hull3d.Hull, bool) {
+// seeded picks of pts widened by the 6 axis extremes. It reports false
+// when a sample point is not finite (non-finite inputs must pass through
+// untouched for typed-error parity) or the sample is flat.
+func sampleHull(pts []geom.Point3, seed uint64) (hull3d.Hull, bool) {
+	ex := extremes3(pts)
 	m := sampleSize(len(pts))
 	r := rng.New(seed ^ sampleSalt)
 	sample := make([]geom.Point3, 0, m+len(ex))
@@ -481,10 +455,10 @@ func insideWedge(poly []geom.Point, p geom.Point) bool {
 }
 
 // extremes3 returns the 6 axis-extreme points ordered x−, x+, y+, y−, z+,
-// z− (the order Points3's tetrahedra index), with ok false when any
-// extreme is non-finite (disable the filter; non-finite inputs must pass
-// through untouched for typed-error parity).
-func extremes3(pts []geom.Point3) (ex [6]geom.Point3, ok bool) {
+// z−. NaN coordinates never win a comparison, so a NaN point is selected
+// only if nothing beats it; sampleHull's finiteness guard then disables
+// the filter.
+func extremes3(pts []geom.Point3) (ex [6]geom.Point3) {
 	nLeaf := (len(pts) + cullGrain - 1) / cullGrain
 	leaves := make([][6]geom.Point3, nLeaf)
 	fork.For(nLeaf, 1, func(cLo, cHi int) {
@@ -542,12 +516,7 @@ func extremes3(pts []geom.Point3) (ex [6]geom.Point3, ok bool) {
 			ex[5] = lf[5]
 		}
 	}
-	for _, p := range ex {
-		if !p.IsFinite() {
-			return ex, false
-		}
-	}
-	return ex, true
+	return ex
 }
 
 // strictSign returns +1 (certainly positive), −1 (certainly negative) or
@@ -563,19 +532,4 @@ func strictSign(det, bound float64) int {
 		return -1
 	}
 	return 0
-}
-
-// insideTetStrict reports whether p is certainly strictly inside the
-// tetrahedron (possibly degenerate — then always false): for each face,
-// p must certainly lie on the same strict side as the opposite vertex.
-func insideTetStrict(t [4]geom.Point3, p geom.Point3) bool {
-	faces := [4][4]int{{1, 2, 3, 0}, {0, 2, 3, 1}, {0, 1, 3, 2}, {0, 1, 2, 3}}
-	for _, f := range faces {
-		a, b, c, opp := t[f[0]], t[f[1]], t[f[2]], t[f[3]]
-		s := strictSign(geom.Orientation3Det(a, b, c, opp))
-		if s == 0 || strictSign(geom.Orientation3Det(a, b, c, p)) != s {
-			return false
-		}
-	}
-	return true
 }

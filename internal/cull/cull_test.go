@@ -231,13 +231,12 @@ func flip3(ps []geom.Point3) []geom.Point3 {
 	return out
 }
 
-// TestParity3D: every 3-d filter leaves survivors that answer for the
-// full input on their own — their hull has the full input's upper faces,
-// and its caps lifted over the FULL point set pass CheckCaps3D — on every
-// 3-d workload, in both z orientations. The octahedron keeps conv, so
-// its survivors must also answer for the z-reflected input. The upper
-// filter (auto, coarse) keeps only the upper hull by design, so there
-// the input is reflected before filtering.
+// TestParity3D: under every policy spelling the 3-d filter leaves
+// survivors that answer for the full input on their own — their hull has
+// the full input's upper faces, and its caps lifted over the FULL point
+// set pass CheckCaps3D — on every 3-d workload, in both z orientations.
+// The filter keeps only the upper hull by design, so for the lower
+// orientation the input is reflected before filtering.
 func TestParity3D(t *testing.T) {
 	gens := map[string]func(seed uint64, n int) []geom.Point3{
 		"ball":   workload.Ball,
@@ -253,11 +252,7 @@ func TestParity3D(t *testing.T) {
 					t.Fatalf("%s: culled grew", label)
 				}
 				survivorsAnswer(t, label, pts, culled)
-				flipped := Points3(pol, 1, flip3(pts))
-				if pol == PolicyQuad || pol == PolicyOctagon {
-					flipped = flip3(culled)
-				}
-				survivorsAnswer(t, label+" flipped", flip3(pts), flipped)
+				survivorsAnswer(t, label+" flipped", flip3(pts), Points3(pol, 1, flip3(pts)))
 			}
 		}
 	}
@@ -291,18 +286,16 @@ func survivorsAnswer(t *testing.T, label string, full, culled []geom.Point3) {
 // sameUpper compares two hulls' upper surfaces in any triangulation.
 var sameUpper = hull3d.SameUpper
 
-// TestUpperCull3D: the 3-d upper filter (auto resolves to it) drops more
-// of a ball than the octahedron, keeps every point whose position it
-// cannot certify, and is a pure function of (seed, pts).
+// TestUpperCull3D: the 3-d upper filter is the one every policy but off
+// runs, keeps every point whose position it cannot certify, and is a
+// pure function of (seed, pts).
 func TestUpperCull3D(t *testing.T) {
 	ball := workload.Ball(3, 5000)
-	oct := Points3(PolicyOctagon, 1, ball)
 	up := Points3(PolicyCoarse, 1, ball)
-	if len(up) >= len(oct) {
-		t.Fatalf("upper filter kept %d of %d ball points, octahedron %d", len(up), len(ball), len(oct))
-	}
-	if auto := Points3(PolicyAuto, 1, ball); !slices.Equal(auto, up) {
-		t.Fatalf("auto must filter 3-d inputs as coarse")
+	for _, pol := range []Policy{PolicyAuto, PolicyQuad, PolicyOctagon} {
+		if got := Points3(pol, 1, ball); !slices.Equal(got, up) {
+			t.Fatalf("%v must filter 3-d inputs as coarse", pol)
+		}
 	}
 	if again := Points3(PolicyCoarse, 1, ball); !slices.Equal(again, up) {
 		t.Fatalf("upper filter not deterministic for a fixed seed")
@@ -318,18 +311,21 @@ func TestUpperCull3D(t *testing.T) {
 	}
 }
 
-// TestCulls3DInterior: the octahedron must discard most of a uniform ball
-// and nothing from a sphere surface.
+// TestCulls3DInterior: the 3-d filter must discard most of a uniform
+// ball, and nothing from the upper half of a sphere surface, where every
+// point is an upper-hull vertex.
 func TestCulls3DInterior(t *testing.T) {
 	ball := workload.Ball(3, 5000)
-	culled := Points3(PolicyOctagon, 1, ball)
+	culled := Points3(PolicyCoarse, 1, ball)
 	if ratio := 1 - float64(len(culled))/float64(len(ball)); ratio < 0.10 {
 		t.Fatalf("ball: cull ratio %.2f, want ≥ 0.10", ratio)
 	}
 	sphere := workload.Sphere(3, 1000)
-	got := Points3(PolicyOctagon, 1, sphere)
-	if len(got) != len(sphere) {
-		t.Fatalf("sphere surface: %d culled, want 0 (every point extreme)", len(sphere)-len(got))
+	got := Points3(PolicyCoarse, 1, sphere)
+	for _, p := range sphere {
+		if p.Z > 0 && !slices.Contains(got, p) {
+			t.Fatalf("sphere surface: upper-hull vertex %v culled", p)
+		}
 	}
 }
 
@@ -376,12 +372,18 @@ func TestPolicyRoundTrip(t *testing.T) {
 	if PolicyAuto.Resolve() != PolicyOctagon {
 		t.Fatalf("auto must resolve to octagon")
 	}
-	if PolicyAuto.Resolve3() != PolicyCoarse {
-		t.Fatalf("auto must resolve to coarse in 3-d")
-	}
 	for _, pol := range []Policy{PolicyOff, PolicyQuad, PolicyOctagon, PolicyCoarse} {
-		if pol.Resolve() != pol || pol.Resolve3() != pol {
+		if pol.Resolve() != pol {
 			t.Fatalf("%v must resolve to itself", pol)
+		}
+	}
+	// 3-d has one filter: every policy but off names it.
+	if PolicyOff.Resolve3() != PolicyOff {
+		t.Fatalf("off must resolve to itself in 3-d")
+	}
+	for _, pol := range []Policy{PolicyAuto, PolicyQuad, PolicyOctagon, PolicyCoarse} {
+		if pol.Resolve3() != PolicyCoarse {
+			t.Fatalf("%v must resolve to coarse in 3-d", pol)
 		}
 	}
 }
@@ -475,12 +477,11 @@ func decodePoints3(data []byte) []geom.Point3 {
 	return pts
 }
 
-// FuzzCullParity3D: the 3-d filters on arbitrary inputs. For every policy
-// the survivors are an in-order subsequence of the input and every
-// non-finite point survives. On finite inputs with a 3-d hull, the
-// survivors' hull (when they have one) has the full input's upper faces,
-// and Hull3DFrom over the survivors answers, non-degenerate whenever the
-// unculled run is.
+// FuzzCullParity3D: the 3-d filter on arbitrary inputs. The survivors
+// are an in-order subsequence of the input and every non-finite point
+// survives. On finite inputs with a 3-d hull, the survivors' hull (when
+// they have one) has the full input's upper faces, and Hull3DFrom over
+// the survivors answers, non-degenerate whenever the unculled run is.
 func FuzzCullParity3D(f *testing.F) {
 	r := rng.New(5)
 	for _, head := range []byte{0, 1, 2, 4, 6, 8, 16} {
@@ -513,39 +514,35 @@ func FuzzCullParity3D(f *testing.F) {
 		if finite {
 			full, fullErr = hull3d.Incremental(rng.New(seed), pts)
 		}
-		for _, pol := range []Policy{PolicyQuad, PolicyOctagon, PolicyCoarse} {
-			culled := Points3(pol, seed, pts)
-			j := 0
-			for _, p := range pts {
-				if j < len(culled) && sameBits(culled[j], p) {
-					j++
-				}
+		culled := Points3(PolicyCoarse, seed, pts)
+		j := 0
+		for _, p := range pts {
+			if j < len(culled) && sameBits(culled[j], p) {
+				j++
 			}
-			if j != len(culled) {
-				t.Fatalf("%v: survivors are not an in-order subsequence (%d/%d matched)", pol, j, len(culled))
-			}
-			if nonFinite(culled) != nonFinite(pts) {
-				t.Fatalf("%v: a non-finite point was culled", pol)
-			}
-			got, err := native.Hull3DFrom(pts, culled, nil)
-			if (err == nil) != (unculledErr == nil) {
-				t.Fatalf("%v: error parity: culled %v, unculled %v", pol, err, unculledErr)
-			}
-			if !finite {
-				continue
-			}
-			if degenerate(got) && !degenerate(unculled) {
-				t.Fatalf("%v: culled run fell to the degenerate cap, unculled has %d real facets", pol, len(unculled.Facets))
-			}
-			if fullErr != nil {
-				continue
-			}
-			if h, err := hull3d.Incremental(rng.New(seed+1), culled); err == nil {
-				if err := sameUpper(full, h); err != nil {
-					t.Fatalf("%v: %d survivors of %d: %v", pol, len(culled), len(pts), err)
-				}
-			} else if pol != PolicyCoarse {
-				t.Fatalf("%v: the octahedron keeps conv, yet its %d survivors have no hull: %v", pol, len(culled), err)
+		}
+		if j != len(culled) {
+			t.Fatalf("survivors are not an in-order subsequence (%d/%d matched)", j, len(culled))
+		}
+		if nonFinite(culled) != nonFinite(pts) {
+			t.Fatalf("a non-finite point was culled")
+		}
+		got, err := native.Hull3DFrom(pts, culled, nil)
+		if (err == nil) != (unculledErr == nil) {
+			t.Fatalf("error parity: culled %v, unculled %v", err, unculledErr)
+		}
+		if !finite {
+			return
+		}
+		if degenerate(got) && !degenerate(unculled) {
+			t.Fatalf("culled run fell to the degenerate cap, unculled has %d real facets", len(unculled.Facets))
+		}
+		if fullErr != nil {
+			return
+		}
+		if h, err := hull3d.Incremental(rng.New(seed+1), culled); err == nil {
+			if err := sameUpper(full, h); err != nil {
+				t.Fatalf("%d survivors of %d: %v", len(culled), len(pts), err)
 			}
 		}
 	})

@@ -80,10 +80,11 @@ func (e NativeEngine) Hull3D(ctx context.Context, pts []geom.Point3, _ unsorted.
 	})
 }
 
-// NativeHull3DFrom is the culled-admission variant of the native 3-d
-// path: the incremental hull runs over culled, caps are assigned and
-// oracle-checked over full (see native.Hull3DFrom). Only the native
-// backend can honor it — counted 3-d facet identities are not stable
+// NativeHull3DFrom is the native 3-d path with the engine's guard
+// semantics: the upper hull is built over culled, caps are assigned and
+// oracle-checked over full (see native.Hull3DFrom); Plan.Run3D passes
+// culled == full when nothing was culled. Only the native backend can
+// honor a culled input — counted 3-d facet identities are not stable
 // under input subsetting. The seed is ignored, as in Native.
 func NativeHull3DFrom(ctx context.Context, _ uint64, full, culled []geom.Point3, sink pram.Sink) (unsorted.Result3D, resilient.Report, error) {
 	return run(ctx, "engine.Native.Hull3DFrom", func() (unsorted.Result3D, error) {

@@ -217,14 +217,12 @@ func (p Plan) Run2D(ctx context.Context, in Input2D) (Result2D, resilient.Report
 	return res, rep, nil
 }
 
-// Run3D runs the §4.3 cap structure; a culled native run builds from the
-// survivors and assigns caps over in.Full.
+// Run3D runs the §4.3 cap structure; a native run builds from the
+// survivors (all of in.Full when nothing was culled) and assigns caps
+// over in.Full.
 func (p Plan) Run3D(ctx context.Context, in Input3D) (unsorted.Result3D, resilient.Report, error) {
 	if p.native() {
-		if in.Culled() > 0 {
-			return NativeHull3DFrom(ctx, 0, in.Full, in.Work, p.Sink)
-		}
-		return Native(0, p.Sink).Hull3D(ctx, in.Work, p.Options3D, p.Policy)
+		return NativeHull3DFrom(ctx, 0, in.Full, in.Work, p.Sink)
 	}
 	m := p.Machine
 	if p.Direct {

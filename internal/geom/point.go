@@ -59,6 +59,17 @@ func LexLess(p, q Point) bool {
 	return p.Y < q.Y
 }
 
+// LexLess3 reports whether p precedes q in (x, y, z) lexicographic order.
+func LexLess3(p, q Point3) bool {
+	if p.X != q.X {
+		return p.X < q.X
+	}
+	if p.Y != q.Y {
+		return p.Y < q.Y
+	}
+	return p.Z < q.Z
+}
+
 // LexCmp is LexLess as a three-way comparison, for slices.SortFunc and
 // slices.SortStableFunc: −0 and +0 compare equal.
 func LexCmp(p, q Point) int {

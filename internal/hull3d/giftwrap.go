@@ -80,7 +80,7 @@ func pivot(pts []geom.Point3, u, v int) int {
 func firstFace(pts []geom.Point3) (Tri, error) {
 	p0 := 0
 	for i, p := range pts {
-		if lex3Less(p, pts[p0]) {
+		if geom.LexLess3(p, pts[p0]) {
 			p0 = i
 		}
 	}
@@ -118,14 +118,4 @@ func firstFace(pts []geom.Point3) (Tri, error) {
 		}
 	}
 	return t, nil
-}
-
-func lex3Less(a, b geom.Point3) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.Z < b.Z
 }

@@ -92,46 +92,11 @@ func IncrementalOracle(rnd *rng.Stream, pts []geom.Point3, o *geom.NoisyOracle) 
 		return Hull{}, fmt.Errorf("hull3d: %d points exceed the 32-bit face arena", n)
 	}
 	order := rnd.Perm(n)
-
-	// Initial simplex: the first four affinely independent points of the
-	// random order.
-	i0 := order[0]
-	i1 := -1
-	for _, i := range order[1:] {
-		if pts[i] != pts[i0] {
-			i1 = i
-			break
-		}
+	s, err := firstSimplex(pts, order, o)
+	if err != nil {
+		return Hull{}, err
 	}
-	if i1 < 0 {
-		return Hull{}, fmt.Errorf("hull3d: all points coincide")
-	}
-	i2 := -1
-	for _, i := range order {
-		if i == i0 || i == i1 {
-			continue
-		}
-		if !collinear3(pts[i0], pts[i1], pts[i]) {
-			i2 = i
-			break
-		}
-	}
-	if i2 < 0 {
-		return Hull{}, fmt.Errorf("hull3d: all points collinear")
-	}
-	i3 := -1
-	for _, i := range order {
-		if i == i0 || i == i1 || i == i2 {
-			continue
-		}
-		if o.Orientation3(pts[i0], pts[i1], pts[i2], pts[i]) != 0 {
-			i3 = i
-			break
-		}
-	}
-	if i3 < 0 {
-		return Hull{}, fmt.Errorf("hull3d: all points coplanar")
-	}
+	i0, i1, i2, i3 := s[0], s[1], s[2], s[3]
 
 	// Orient the simplex: faces outward.
 	if o.Orientation3(pts[i0], pts[i1], pts[i2], pts[i3]) > 0 {

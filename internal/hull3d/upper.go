@@ -120,9 +120,9 @@ func SameUpper(a, b Hull) error {
 // orphan stays strictly above that face's plane, so it leaves the new
 // surface through a cone face, or the orphan is not outside.
 //
-// The initial simplex comes from Incremental's search in input order, so
-// Upper fails with the same errors on fewer than four points and on
-// coincident, collinear and coplanar inputs. The build consumes no
+// The initial simplex comes from Incremental's search (firstSimplex) in
+// input order, so Upper fails with the same errors on fewer than four
+// points and on coincident, collinear and coplanar inputs. The build consumes no
 // randomness and is a function of the input order. The returned Faces
 // are exactly the upper faces, each counter-clockwise in xy, and Nb links
 // them, with −1 across the shadow boundary; the hull is open at the
@@ -134,7 +134,7 @@ func Upper(pts []geom.Point3) (Hull, error) {
 	if n >= math.MaxInt32 {
 		return Hull{}, fmt.Errorf("hull3d: %d points exceed the 32-bit face arena", n)
 	}
-	s, err := firstSimplex(pts)
+	s, err := firstSimplex(pts, nil, nil)
 	if err != nil {
 		return Hull{}, err
 	}
@@ -231,33 +231,44 @@ func Upper(pts []geom.Point3) (Hull, error) {
 	}), nil
 }
 
-// firstSimplex is Incremental's initial-simplex search in input order:
-// the first point, the first point distinct from it, the first point off
-// their line and the first point off their plane.
-func firstSimplex(pts []geom.Point3) ([4]int, error) {
-	if len(pts) < 4 {
-		return [4]int{}, fmt.Errorf("hull3d: need at least 4 points, have %d", len(pts))
+// firstSimplex is the initial-simplex search of both builders: in order
+// (input order when nil), the first point, the first point distinct from
+// it, the first point off their line and the first point off their
+// plane, the last test through o (nil = exact). Coincidence and
+// collinearity compare stored coordinates and stay exact.
+func firstSimplex(pts []geom.Point3, order []int, o *geom.NoisyOracle) ([4]int, error) {
+	n := len(pts)
+	if n < 4 {
+		return [4]int{}, fmt.Errorf("hull3d: need at least 4 points, have %d", n)
 	}
-	i1 := slices.IndexFunc(pts, func(p geom.Point3) bool { return p != pts[0] })
+	// find returns the first point in order, other than those of s, that
+	// ok accepts.
+	find := func(s []int, ok func(i int) bool) int {
+		for k := range n {
+			i := k
+			if order != nil {
+				i = order[k]
+			}
+			if !slices.Contains(s, i) && ok(i) {
+				return i
+			}
+		}
+		return -1
+	}
+	i0 := find(nil, func(int) bool { return true })
+	i1 := find([]int{i0}, func(i int) bool { return pts[i] != pts[i0] })
 	if i1 < 0 {
 		return [4]int{}, fmt.Errorf("hull3d: all points coincide")
 	}
-	i2 := -1
-	for i := range pts {
-		if i != 0 && i != i1 && !collinear3(pts[0], pts[i1], pts[i]) {
-			i2 = i
-			break
-		}
-	}
+	i2 := find([]int{i0, i1}, func(i int) bool { return !collinear3(pts[i0], pts[i1], pts[i]) })
 	if i2 < 0 {
 		return [4]int{}, fmt.Errorf("hull3d: all points collinear")
 	}
-	for i := range pts {
-		if i != 0 && i != i1 && i != i2 && geom.Orientation3(pts[0], pts[i1], pts[i2], pts[i]) != 0 {
-			return [4]int{0, i1, i2, i}, nil
-		}
+	i3 := find([]int{i0, i1, i2}, func(i int) bool { return o.Orientation3(pts[i0], pts[i1], pts[i2], pts[i]) != 0 })
+	if i3 < 0 {
+		return [4]int{}, fmt.Errorf("hull3d: all points coplanar")
 	}
-	return [4]int{}, fmt.Errorf("hull3d: all points coplanar")
+	return [4]int{i0, i1, i2, i3}, nil
 }
 
 // xyTriangle returns the first three of the simplex s whose xy-projection

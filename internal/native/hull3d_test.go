@@ -65,7 +65,7 @@ func referenceCaps(full, work []geom.Point3) (unsorted.Result3D, bool) {
 }
 
 // TestHull3DMatchesReferenceLift: Hull3D and Hull3DFrom (over the
-// octagon- and upper-culled survivors) return exactly the reference
+// upper-culled survivors) return exactly the reference
 // lift's facets and cap assignment, including flat inputs that take the
 // degenerate fallback.
 func TestHull3DMatchesReferenceLift(t *testing.T) {
@@ -81,7 +81,7 @@ func TestHull3DMatchesReferenceLift(t *testing.T) {
 		inputs[fmt.Sprintf("flat/%d", n)] = flat
 	}
 	for name, pts := range inputs {
-		for _, culled := range [][]geom.Point3{pts, cull.Points3(cull.PolicyOctagon, 9, pts), cull.Points3(cull.PolicyCoarse, 9, pts)} {
+		for _, culled := range [][]geom.Point3{pts, cull.Points3(cull.PolicyCoarse, 9, pts)} {
 			got, err := Hull3DFrom(pts, culled, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -145,11 +145,11 @@ func abs(x float64) float64 { return max(x, -x) }
 
 // BenchmarkHull3DFrom is the native 3-d cache-miss path of a served
 // 2048-point ball: culling outside the timer, then the upper hull over
-// the survivors, the cap lift and the oracle over all points — unfiltered,
-// over the octahedron's survivors and over the upper filter's.
+// the survivors, the cap lift and the oracle over all points — unfiltered
+// and over the upper filter's survivors.
 func BenchmarkHull3DFrom(b *testing.B) {
 	pts := workload.Ball(1, 2048)
-	for _, pol := range []cull.Policy{cull.PolicyOff, cull.PolicyOctagon, cull.PolicyCoarse} {
+	for _, pol := range []cull.Policy{cull.PolicyOff, cull.PolicyCoarse} {
 		culled := cull.Points3(pol, 1, pts)
 		b.Run(pol.String(), func(b *testing.B) {
 			b.ReportAllocs()

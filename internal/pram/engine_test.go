@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -232,37 +233,50 @@ func TestEngineReentrantStepFallsBack(t *testing.T) {
 	}
 }
 
-// TestEngineGoroutineLeak: runtime.NumGoroutine settles back to its
-// baseline after Close — the pool neither leaks workers nor leaves any
-// behind across repeated start/stop cycles.
+// TestEngineGoroutineLeak: the pool neither leaks workers nor leaves any
+// behind across repeated start/stop cycles. It counts the pool's own
+// workers by name in a dump of every goroutine, so goroutines other tests
+// leave running cannot move the count; pools other tests abandoned are
+// reaped before the first cycle, so every worker counted is this test's.
 func TestEngineGoroutineLeak(t *testing.T) {
-	settle := func() int {
-		best := runtime.NumGoroutine()
-		for i := 0; i < 50; i++ {
-			runtime.Gosched()
-			if g := runtime.NumGoroutine(); g < best {
-				best = g
-			}
-		}
-		return best
-	}
-	before := settle()
+	waitWorkers(t, "before the first cycle")
 	for cycle := 0; cycle < 5; cycle++ {
 		m := poolMachine(8, 1)
 		m.StepAll(50000, func(p int) {})
-		if g := runtime.NumGoroutine(); g < before+7 {
-			t.Fatalf("cycle %d: pool not running (%d goroutines, baseline %d)", cycle, g, before)
+		if g := poolWorkers(); g < 7 {
+			t.Fatalf("cycle %d: pool not running (%d workers, want 7)", cycle, g)
 		}
 		m.Close()
 		m.Close() // idempotent
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	waitWorkers(t, "after Close")
+}
+
+// poolWorkers counts the goroutines running an engine's worker loop.
+func poolWorkers() int {
+	buf := make([]byte, 1<<16)
 	for {
-		if g := settle(); g <= before {
-			break
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "pram.(*engine).workerLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitWorkers waits until no pool worker is left, collecting garbage so
+// the finalizer reaps pools dropped without Close.
+func waitWorkers(t *testing.T, when string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		g := poolWorkers()
+		if g == 0 {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle after Close: %d, baseline %d", settle(), before)
+			t.Fatalf("%s: %d pool workers still running", when, g)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

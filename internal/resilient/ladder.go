@@ -12,12 +12,10 @@ import (
 
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
-	"inplacehull/internal/hull3d"
 	"inplacehull/internal/hullerr"
-	"inplacehull/internal/lp"
+	"inplacehull/internal/native"
 	"inplacehull/internal/pram"
 	"inplacehull/internal/presorted"
-	"inplacehull/internal/rng"
 	"inplacehull/internal/unsorted"
 )
 
@@ -83,41 +81,21 @@ func ladderPresorted(m *pram.Machine, pts []geom.Point) (presorted.Result, Tier,
 	return presorted.Result{Edges: res2.Edges, Chain: res2.Chain, EdgeOf: res2.EdgeOf}, TierSequential, nil
 }
 
-// ladder3D runs the 3-d rungs: the sequential randomized incremental
-// baseline (expected O(n log n)), then the degenerate column-cap
-// construction for inputs the baseline rejects — fewer than four points,
-// all coincident/collinear/coplanar — mirroring how the parallel
-// algorithm represents flat geometry. The assembled result must pass
-// CheckCaps3D before it is returned.
-func ladder3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3) (unsorted.Result3D, Tier, error) {
-	if err := hullerr.CheckFinite3D("resilient.ladder3D", pts); err != nil {
-		return unsorted.Result3D{}, TierSequential, err
+// ladder3D runs the 3-d rungs through the native backend's sequential
+// cap recipe (native.Caps3D, with no sink so the machine's phase
+// accounting sees only the charge below): the upper hull lifted into
+// caps, then the degenerate top-cap construction for inputs the builder
+// rejects — fewer than four points, all coincident/collinear/coplanar —
+// mirroring how the parallel algorithm represents flat geometry. Both
+// rungs are gated by CheckCaps3D; the rung that answered picks the tier.
+func ladder3D(m *pram.Machine, pts []geom.Point3) (unsorted.Result3D, Tier, error) {
+	res, top, err := native.Caps3D(pts, pts, nil)
+	tier := TierSequential
+	if top {
+		tier = TierDegenerate
 	}
-	n := len(pts)
-	res := unsorted.Result3D{FacetOf: make([]int, n)}
-	if n == 0 {
-		return res, TierSequential, nil
+	if err == nil {
+		chargeSequential(m, len(pts))
 	}
-	if h, err := hull3d.Incremental(rnd, pts); err == nil {
-		res = unsorted.CapsFromHull(pts, h)
-		if err := unsorted.CheckCaps3D(pts, res); err == nil {
-			chargeSequential(m, n)
-			return res, TierSequential, nil
-		}
-		res = unsorted.Result3D{FacetOf: make([]int, n)}
-	}
-	// Last rung: every point receives the horizontal cap through the
-	// global top point. Valid by the degenerate-cap semantics (no point
-	// lies above the plane z = max z), and the only representation
-	// available for sub-3-dimensional geometry.
-	res.Facets = []lp.Solution3D{unsorted.TopCap(pts)}
-	for p := range res.FacetOf {
-		res.FacetOf[p] = 0
-	}
-	if err := unsorted.CheckCaps3D(pts, res); err != nil {
-		return unsorted.Result3D{}, TierDegenerate, hullerr.New(hullerr.Internal, "resilient.ladder3D",
-			"degenerate cap construction failed the oracle for %d points: %v", n, err)
-	}
-	chargeSequential(m, n)
-	return res, TierDegenerate, nil
+	return res, tier, err
 }

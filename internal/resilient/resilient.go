@@ -400,22 +400,20 @@ func Hull3D(ctx context.Context, m *pram.Machine, rnd *rng.Stream, pts []geom.Po
 	return Hull3DOpts(ctx, m, rnd, pts, unsorted.Options3D{}, pol)
 }
 
-// Hull3DOpts supervises unsorted.Hull3DOpts; the ladder runs the
-// sequential randomized incremental baseline (on an injector-free stream)
-// and falls to the degenerate column-cap construction for inputs the
-// baseline rejects.
+// Hull3DOpts supervises unsorted.Hull3DOpts; the ladder runs the native
+// backend's sequential cap recipe (native.Caps3D), which falls to the
+// degenerate column-cap construction for inputs its upper-hull builder
+// rejects.
 func Hull3DOpts(ctx context.Context, m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, opt unsorted.Options3D, pol Policy) (unsorted.Result3D, Report, error) {
 	base := opt.BudgetScale
 	if base < 1 {
 		base = 1
 	}
-	// Derive the ladder's seed up front so it does not depend on how many
-	// attempts ran, and strip the payload: the sequential tier must be
+	// Derive the noisy rung's seed up front so it does not depend on how
+	// many attempts ran, and strip the payload: the fallback tiers must be
 	// immune to injected faults. (Split never advances the parent, so the
-	// extra derivations leave the attempt streams untouched.)
-	ladderSeed := rnd.Split(0x5E9).Uint64()
+	// derivation leaves the attempt streams untouched.)
 	noisySeed := rnd.Split(0x5E90A15).Uint64()
-	approxSeed := rnd.Split(0x5E90A44).Uint64()
 	oracle := oracleFor(pol, rnd)
 	res, rep, err := supervise(ctx, m, rnd, pol, "resilient.Hull3D",
 		func(r *rng.Stream, scale float64) (unsorted.Result3D, error) {
@@ -423,7 +421,7 @@ func Hull3DOpts(ctx context.Context, m *pram.Machine, rnd *rng.Stream, pts []geo
 			o.BudgetScale = base * scale
 			return unsorted.Hull3DOpts(m, r, pts, o)
 		},
-		rungs3D(m, pts, pol, oracle, noisySeed, approxSeed, ladderSeed))
+		rungs3D(m, pts, pol, oracle, noisySeed))
 	rep.Votes = oracle.VoteCount()
 	return res, rep, err
 }

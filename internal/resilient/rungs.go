@@ -109,10 +109,10 @@ func rungsPresorted(m *pram.Machine, pts []geom.Point, pol Policy, o *geom.Noisy
 	return ladder
 }
 
-// rungs3D assembles the 3-d ladder. Each rung gets its own pre-derived,
-// payload-free seed so its randomness neither consumes the attempt stream
-// nor sees injected faults.
-func rungs3D(m *pram.Machine, pts []geom.Point3, pol Policy, o *geom.NoisyOracle, noisySeed, approxSeed, ladderSeed uint64) []rung[unsorted.Result3D] {
+// rungs3D assembles the 3-d ladder. The noisy rung gets its own
+// pre-derived, payload-free seed so its randomness neither consumes the
+// attempt stream nor sees injected faults; the others draw none.
+func rungs3D(m *pram.Machine, pts []geom.Point3, pol Policy, o *geom.NoisyOracle, noisySeed uint64) []rung[unsorted.Result3D] {
 	var ladder []rung[unsorted.Result3D]
 	if o != nil {
 		ladder = append(ladder, rung[unsorted.Result3D]{tier: TierNoisy, run: func() (unsorted.Result3D, Tier, float64, error) {
@@ -122,11 +122,11 @@ func rungs3D(m *pram.Machine, pts []geom.Point3, pol Policy, o *geom.NoisyOracle
 	}
 	if pol.ApproxEps > 0 {
 		ladder = append(ladder, rung[unsorted.Result3D]{tier: TierApproximate, run: func() (unsorted.Result3D, Tier, float64, error) {
-			return approx3D(m, rng.New(approxSeed), pts, pol.ApproxEps, o)
+			return approx3D(m, pts, pol.ApproxEps, o)
 		}})
 	}
 	ladder = append(ladder, rung[unsorted.Result3D]{tier: TierSequential, run: func() (unsorted.Result3D, Tier, float64, error) {
-		res, tier, err := ladder3D(m, rng.New(ladderSeed), pts)
+		res, tier, err := ladder3D(m, pts)
 		return res, tier, 0, err
 	}})
 	return ladder
@@ -192,9 +192,9 @@ func approx2D(m *pram.Machine, pts []geom.Point, eps float64, o *geom.NoisyOracl
 }
 
 // approx3D is the certified ε-approximate 3-d rung.
-func approx3D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point3, eps float64, o *geom.NoisyOracle) (unsorted.Result3D, Tier, float64, error) {
+func approx3D(m *pram.Machine, pts []geom.Point3, eps float64, o *geom.NoisyOracle) (unsorted.Result3D, Tier, float64, error) {
 	const op = "resilient.approx3D"
-	a, err := approx.Upper3D(pts, eps, o, rnd)
+	a, err := approx.Upper3D(pts, eps, o)
 	if err != nil {
 		return unsorted.Result3D{}, TierApproximate, 0, err
 	}

@@ -137,7 +137,7 @@ func TestCull3D(t *testing.T) {
 
 // TestCullHTTP3DAuto: an inline 3-d query with no cull field runs the
 // 3-d default, the sampled upper-hull filter: its X-Hull-Culled reports
-// most of a ball dropped (the octahedron drops about 30%), and its facet
+// most of a ball dropped, and its facet
 // count lies in the bracket a correct answer over the full input may
 // report.
 func TestCullHTTP3DAuto(t *testing.T) {

@@ -48,9 +48,10 @@ type httpQuery struct {
 	Backend string `json:"backend,omitempty"`
 	// Cull: "" or "auto" (server default: unless configured otherwise,
 	// octagon in 2-d and coarse in 3-d), "off", "quad", "octagon",
-	// "coarse" — the admission-side
-	// interior-point filter (see internal/cull). Never changes the answer;
-	// the discard count is echoed as the X-Hull-Culled response header.
+	// "coarse" — the admission-side interior-point filter (see
+	// internal/cull). 3-d has one filter, so every 3-d value but "off"
+	// runs coarse. Never changes the answer; the discard count is echoed
+	// as the X-Hull-Culled response header.
 	Cull string `json:"cull,omitempty"`
 }
 

@@ -89,9 +89,11 @@ type Query struct {
 	// "" or "auto" defers to the server default (Config.Cull; unless
 	// configured otherwise, octagon in 2-d and the sampled upper-hull
 	// filter in 3-d), "off" disables culling, "quad" /
-	// "octagon" / "coarse" pick a filter (see internal/cull). Any other
-	// value fails typed InvalidInput. The resolved policy is part of the
-	// cache key. Culling never changes an answer's hull — the filter
+	// "octagon" / "coarse" pick a 2-d filter (see internal/cull); 3-d has
+	// one, the sampled upper-hull filter, which all three name there. Any
+	// other value fails typed InvalidInput. The resolved policy is part
+	// of the cache key, so 3-d "octagon" and "coarse" share entries.
+	// Culling never changes an answer's hull — the filter
 	// discards only points certainly strictly interior (3-d coarse:
 	// certainly strictly below the upper hull) — but when it
 	// discards anything the chain is reported in canonical form: the
@@ -159,7 +161,7 @@ type request struct {
 }
 
 // plan resolves the query's wire backend and cull policy ("auto" and
-// the absent field defer to the server defaults; an "auto" left after
+// the absent field defer to the server defaults; the policy left after
 // that resolves per dimension, see cull.Policy.Resolve3) and applies its
 // exactness and tolerance overrides to the server policy (the native
 // backend is always exact and ignores them). The result is the engine

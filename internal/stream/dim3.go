@@ -169,22 +169,16 @@ func (d *Dataset) mutate3(ctx context.Context, op string, add, del []geom.Point3
 				culled = append(culled, p)
 			}
 		}
-		sort.Slice(culled, func(i, k int) bool { return lexLess3(culled[i], culled[k]) })
+		sort.Slice(culled, func(i, k int) bool { return geom.LexLess3(culled[i], culled[k]) })
 		culled = dedupe3(culled)
 		d.cfg.count("splices_total", int64(len(add)))
 	}
 
 	end := d.cfg.span("stream-caps")
 	full := d.livePoints3()
+	// A flat candidate set needs no retry here: Hull3DFrom rebuilds from
+	// the full live multiset before it tries the degenerate rung.
 	res, _, err := engine.NativeHull3DFrom(ctx, 0, full, culled, d.cfg.Sink)
-	if err == nil && reason == "" && degenerate3(res) && len(culled) < d.distin3 {
-		// The candidate replay surrendered to the degenerate rung while a
-		// richer answer may exist over the full set — retry full, counted.
-		d.cfg.count("rebuilds_total", 1)
-		d.cfg.logf("stream %s: %s candidate replay degenerate at v%d; retrying over full set",
-			d.name, op, d.version+1)
-		res, _, err = engine.NativeHull3DFrom(ctx, 0, full, d.liveDistinct3(), d.cfg.Sink)
-	}
 	d.cfg.charge(len(full))
 	end()
 	if err != nil {
@@ -225,7 +219,7 @@ func (d *Dataset) installCaps3(full []geom.Point3, res unsorted.Result3D) {
 			verts = append(verts, p)
 		}
 	}
-	sort.Slice(verts, func(i, k int) bool { return lexLess3(verts[i], verts[k]) })
+	sort.Slice(verts, func(i, k int) bool { return geom.LexLess3(verts[i], verts[k]) })
 	d.verts3 = verts
 	d.hullV3 = set
 }
@@ -238,7 +232,7 @@ func (d *Dataset) liveDistinct3() []geom.Point3 {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return lexLess3(out[i], out[k]) })
+	sort.Slice(out, func(i, k int) bool { return geom.LexLess3(out[i], out[k]) })
 	return out
 }
 
@@ -274,11 +268,6 @@ func (d *Dataset) housekeep3() {
 	}
 }
 
-// degenerate3 reports the single-degenerate-cap surrender shape.
-func degenerate3(res unsorted.Result3D) bool {
-	return len(res.Facets) == 1 && res.Facets[0].Degenerate()
-}
-
 // dedupe3 removes adjacent duplicates from a lex-sorted slice.
 func dedupe3(pts []geom.Point3) []geom.Point3 {
 	out := pts[:0]
@@ -304,7 +293,7 @@ func diffVerts3(old, cur []geom.Point3) (added, removed []geom.Point3) {
 		case old[i] == cur[k]:
 			i++
 			k++
-		case lexLess3(old[i], cur[k]):
+		case geom.LexLess3(old[i], cur[k]):
 			removed = append(removed, old[i])
 			i++
 		default:

@@ -581,17 +581,6 @@ func (s *Store) Delete(name string) (Delta, bool) {
 	return tomb, true
 }
 
-// lexLess3 orders 3-d points lexicographically.
-func lexLess3(p, q geom.Point3) bool {
-	if p.X != q.X {
-		return p.X < q.X
-	}
-	if p.Y != q.Y {
-		return p.Y < q.Y
-	}
-	return p.Z < q.Z
-}
-
 // fallbackErr is the typed outcome of a poisoned rebuild.
 func fallbackErr(op, name string) error {
 	return hullerr.New(hullerr.BudgetExhausted, op,

@@ -312,6 +312,52 @@ func TestIncrementalParity3D(t *testing.T) {
 	}
 }
 
+// TestFlatCandidateReplay3D: a coplanar dataset commits the degenerate
+// top cap, so its retained vertex set is the top point alone. Appending
+// points off the plane replays a candidate set too small for a 3-d hull;
+// native.Hull3DFrom then rebuilds from the full live multiset, so the
+// commit is a real cap structure without any stream-side retry or
+// fallback.
+func TestFlatCandidateReplay3D(t *testing.T) {
+	st := NewStore(Config{})
+	var flat []geom.Point3
+	for i := range 8 {
+		for j := range 8 {
+			x, y := float64(i), float64(j)
+			flat = append(flat, geom.Point3{X: x, Y: y, Z: 1 + 0.5*x + 0.25*y})
+		}
+	}
+	d, _, err := st.Register3("flat", flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := d.Snapshot3(); err != nil || len(snap.Res.Facets) != 1 || !snap.Res.Facets[0].Degenerate() {
+		t.Fatalf("coplanar registration: %d facets (%v), want the degenerate top cap", len(snap.Res.Facets), err)
+	}
+	if len(d.verts3) != 1 {
+		t.Fatalf("coplanar registration keeps %d candidates, want the top point only", len(d.verts3))
+	}
+	delta, err := d.Append3(context.Background(), []geom.Point3{{X: 2, Y: 3, Z: 9}, {X: 5, Y: 4, Z: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Fallback != "" {
+		t.Fatalf("append fell back: %q", delta.Fallback)
+	}
+	snap, err := d.Snapshot3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range snap.Res.Facets {
+		if f.Degenerate() {
+			t.Fatalf("append committed a degenerate cap among %d facets", len(snap.Res.Facets))
+		}
+	}
+	if err := unsorted.CheckCaps3D(snap.Points, snap.Res); err != nil {
+		t.Fatalf("append commit fails the cap oracle over the live set: %v", err)
+	}
+}
+
 // TestSubscriptions pins delta fan-out: version order, hash continuity,
 // and channel close on dataset delete.
 func TestSubscriptions(t *testing.T) {

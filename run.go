@@ -95,10 +95,13 @@ const (
 	CullAuto = cull.PolicyAuto
 	// CullOff disables the filter explicitly.
 	CullOff = cull.PolicyOff
-	// CullQuad filters against the quadrilateral of the 4 axis extremes.
+	// CullQuad filters 2-d inputs against the quadrilateral of the 4 axis
+	// extremes. 3-d has one filter, so a served 3-d query naming it runs
+	// CullCoarse's 3-d filter.
 	CullQuad = cull.PolicyQuad
-	// CullOctagon filters against the octagon of the 8 directional
-	// extremes — the serving layer's 2-d default.
+	// CullOctagon filters 2-d inputs against the octagon of the 8
+	// directional extremes — the serving layer's 2-d default. A served
+	// 3-d query naming it runs CullCoarse's 3-d filter.
 	CullOctagon = cull.PolicyOctagon
 	// CullCoarse filters against an exact hull of a seeded ~√n sample.
 	// Its 3-d form, which drops the points below the sample's upper hull,
