@@ -226,7 +226,7 @@ func Check2D(pts []geom.Point, res Result2D) error {
 			return hullerr.New(hullerr.Internal, op, "chain not strictly convex at %d", i)
 		}
 	}
-	if len(res.Edges) != maxInt(0, len(res.Chain)-1) {
+	if len(res.Edges) != max(0, len(res.Chain)-1) {
 		return hullerr.New(hullerr.Internal, op, "edge count %d for chain of %d", len(res.Edges), len(res.Chain))
 	}
 	for i, e := range res.Edges {
@@ -246,11 +246,4 @@ func Check2D(pts []geom.Point, res Result2D) error {
 		return hullerr.New(hullerr.Internal, op, "measured excess %g exceeds declared eps %g", got, res.Eps)
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -188,10 +188,3 @@ func linearTangent(sub []geom.Point, cur geom.Point, ops *int64) int {
 	}
 	return bestI
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

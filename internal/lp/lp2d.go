@@ -11,10 +11,15 @@
 //   - §3.3 — in-place bridge finding, in its full generality: "finding the
 //     bridge for each of q point sets (each with its own splitter), in an
 //     array of n points, such that the points corresponding to any one
-//     point-set cannot be assumed to be contiguous". BatchBridge2D runs all
-//     q problems simultaneously with the escalating re-sampling schedule
-//     p_j = min{1, 2k·p_{j−1}} and a terminal in-place compaction of each
-//     problem's survivors into its base (Lemma 3.2).
+//     point-set cannot be assumed to be contiguous". One procedure,
+//     batchBridge, runs all q problems simultaneously for d = 2 and d = 3:
+//     a random Θ(k) base, its brute-force solution, survivors re-sampled
+//     with p_j = min{1, 2k·p_{j−1}}, and a terminal in-place compaction of
+//     each problem's survivors into its 16k base area (Lemma 3.2). A small
+//     per-dimension spec (dimSpec) supplies what changes with d: the
+//     dimension itself (k floor, base cap, escalation, solve charge), the
+//     extra base points, the base solver and the terminal-survivor rule.
+//     BatchBridge2D (k = p^(1/3)) and BatchBridge3D (k = p^(1/4)) bind it.
 //
 // Positions are *virtual processor* indices: callers map them to points and
 // problems however they like (the pre-sorted algorithm maps n·log n virtual
@@ -23,12 +28,7 @@
 package lp
 
 import (
-	"math"
-
-	"inplacehull/internal/compact"
-	"inplacehull/internal/fault"
 	"inplacehull/internal/geom"
-	"inplacehull/internal/obs"
 	"inplacehull/internal/pram"
 	"inplacehull/internal/rng"
 )
@@ -66,57 +66,20 @@ func (s Solution2D) ValueAt(x float64) float64 {
 // drivers charge its model cost explicitly. The base must contain a point
 // with x ≤ a and one with x ≥ a.
 func solveBase2D(base []geom.Point, a float64) (Solution2D, bool) {
-	b := len(base)
-	if b == 0 {
+	if len(base) == 0 {
 		return Solution2D{}, false
 	}
-	bestSet := false
-	var best Solution2D
-	for i := 0; i < b; i++ {
-		for j := i + 1; j < b; j++ {
-			u, w := base[i], base[j]
-			if u.X > w.X {
-				u, w = w, u
-			}
-			if u.X == w.X || !(u.X <= a && a <= w.X) {
-				continue
-			}
-			feasible := true
-			for _, z := range base {
-				if z == u || z == w {
-					continue
-				}
-				if geom.AboveLine(z, u, w) {
-					feasible = false
-					break
-				}
-			}
-			if !feasible {
-				continue
-			}
-			cand := Solution2D{U: u, W: w}
-			if !bestSet {
-				best, bestSet = cand, true
-				continue
-			}
-			cv, bv := cand.ValueAt(a), best.ValueAt(a)
-			if cv < bv || (cv == bv && cand.W.X-cand.U.X > best.W.X-best.U.X) {
-				best = cand
+	return bestBridge2D(base, a, func(_, _ int, s Solution2D) bool {
+		if s.U.X == s.W.X || !(s.U.X <= a && a <= s.W.X) {
+			return false
+		}
+		for _, z := range base {
+			if z != s.U && z != s.W && geom.AboveLine(z, s.U, s.W) {
+				return false
 			}
 		}
-	}
-	if !bestSet {
-		// No straddling non-vertical pair: degenerate solution, the
-		// topmost base point.
-		top := base[0]
-		for _, p := range base[1:] {
-			if p.Y > top.Y {
-				top = p
-			}
-		}
-		return Solution2D{U: top, W: top}, true
-	}
-	return best, true
+		return true
+	}), true
 }
 
 // BruteForce2D is Observation 2.2 run end-to-end on the machine: solve the
@@ -149,18 +112,27 @@ func BruteForce2D(m *pram.Machine, base []geom.Point, a float64) (Solution2D, bo
 		}
 	})
 	m.Charge(1, int64(b*b))
+	return bestBridge2D(base, a, func(i, j int, _ Solution2D) bool { return !infeasible[i*b+j].Get() }), true
+}
+
+// bestBridge2D is the answer selection of Observation 2.2 for the bridge
+// LP at a. Among the pairs i < j of the non-empty base that feasible
+// admits, given as a line with U.X ≤ W.X, it picks the one of least height
+// at a, ties going to the widest pair. With none, the solution is
+// degenerate: the topmost base point.
+func bestBridge2D(base []geom.Point, a float64, feasible func(i, j int, s Solution2D) bool) Solution2D {
 	bestSet := false
 	var best Solution2D
-	for i := 0; i < b; i++ {
-		for j := i + 1; j < b; j++ {
-			if infeasible[i*b+j].Get() {
-				continue
-			}
+	for i := range base {
+		for j := i + 1; j < len(base); j++ {
 			u, w := base[i], base[j]
 			if u.X > w.X {
 				u, w = w, u
 			}
 			cand := Solution2D{U: u, W: w}
+			if !feasible(i, j, cand) {
+				continue
+			}
 			if !bestSet {
 				best, bestSet = cand, true
 				continue
@@ -178,9 +150,9 @@ func BruteForce2D(m *pram.Machine, base []geom.Point, a float64) (Solution2D, bo
 				top = p
 			}
 		}
-		return Solution2D{U: top, W: top}, true
+		return Solution2D{U: top, W: top}
 	}
-	return best, true
+	return best
 }
 
 // Problem2D describes one bridge-finding problem of a batch.
@@ -218,368 +190,47 @@ func (p Problem2D) abscissa() float64 {
 	return p.Splitter.X
 }
 
-// Result2D is the outcome of one problem of a batch.
-type Result2D struct {
-	Sol Solution2D
-	// OK is false if the problem did not converge within the iteration
-	// budget; the caller's failure sweeping (§2.3) must resolve it.
-	OK bool
-	// Iterations is the number of base problems solved for this problem.
-	Iterations int
-	// SurvivorTrace records the survivor count after each iteration
-	// (instrumentation for experiment E7; gathered host-side, not charged).
-	SurvivorTrace []int
-	// SweptIn reports whether the terminal in-place compaction ran.
-	SweptIn bool
+// BatchBridge2D runs the in-place bridge-finding procedure of §3.3 for all
+// problems simultaneously over n virtual processors: the 2-d binding of
+// batchBridge, with k = p^(1/3) bases solved at each problem's abscissa.
+// pt(v) is the point virtual processor v stands by; probID(v) is the
+// problem it belongs to (−1 if dead or unassigned).
+func BatchBridge2D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point, probID func(int) int, problems []Problem2D) []Result2D {
+	return batchBridge(m, rnd, n, pt, probID, len(problems), dimSpec[geom.Point, Solution2D]{
+		d:    2,
+		size: func(j int) (int, int) { return problems[j].K, problems[j].MLive },
+		base: func(j int, base []geom.Point, prev Solution2D, havePrev bool) []geom.Point {
+			pr := &problems[j]
+			base = append(base, pr.Splitter)
+			if pr.HasAnchor {
+				base = append(base, pr.Anchor)
+			}
+			if havePrev {
+				base = append(base, prev.U, prev.W)
+			}
+			return base
+		},
+		solve: func(j int, base []geom.Point) (Solution2D, bool) {
+			return solveBase2D(base, problems[j].abscissa())
+		},
+		survives: survives2D,
+	})
 }
 
-// DefaultBeta is the constant β of §3.3 step 4: iterations before the
-// survivors are compacted into the base problem.
-const DefaultBeta = 4
-
-// Trace enables host-side exact survivor counting per iteration
-// (Result2D.SurvivorTrace / Result3D.SurvivorTrace). It is instrumentation
-// for experiment E7 only and costs an O(n) host scan per round, so it is
-// off by default.
-var Trace = false
-
-// SpaceFactor is the per-problem work space multiple (16k, as in §3.1).
-const SpaceFactor = 16
-
-// sampleAttempts is the constant d of §3.1 step 4: claim retry rounds
-// within one sampling round.
-const sampleAttempts = 3
-
-// terminalAttempts bounds the §3.3 step 4 compact-then-resample loop.
-const terminalAttempts = 3
-
-// MaxRoundsPerBridge bounds the solveRound invocations (obs "lp-iter"
-// spans) of one BatchBridge call: β deterministic rounds plus at most
-// two per terminal attempt — Lemma 4.2's constant-iteration bound as it
-// manifests in this implementation. Experiment E16 checks observed span
-// counts against it.
-const MaxRoundsPerBridge = DefaultBeta + 2*terminalAttempts
-
-// BatchBridge2D runs the in-place bridge-finding procedure of §3.3 for all
-// problems simultaneously over n virtual processors. pt(v) is the point
-// virtual processor v stands by; probID(v) is the problem it belongs to
-// (−1 if dead or unassigned). All per-round operations — sampling claims,
-// base solving, survivor marking — are single synchronous steps across the
-// whole array, so the step count is O(β) = O(1) regardless of q, exactly
-// the property the paper's divide-and-conquer needs.
-func BatchBridge2D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point, probID func(int) int, problems []Problem2D) []Result2D {
-	q := len(problems)
-	res := make([]Result2D, q)
-	if q == 0 {
-		return res
+// survives2D is the 2-d terminal-survivor rule. A top-point solution is
+// only terminal for a vertical-column problem: any point off the column
+// still needs a proper bridge, so it counts as a survivor — otherwise a
+// degenerate solution through the problem's maximum would terminate
+// vacuously and strand the off-column points.
+func survives2D(s Solution2D, p geom.Point) bool {
+	if s.Degenerate() {
+		return p.Y > s.U.Y || p.X != s.U.X
 	}
-	// Fault injection (LPTimeout): a poisoned problem is never marked
-	// finished, so it burns its full iteration budget and reports OK =
-	// false — the Lemma 4.1/4.2 non-convergence event the caller's failure
-	// sweeping must absorb.
-	inj := fault.On(rnd)
-	poisoned := make([]bool, q)
-	for j := range problems {
-		if inj.Hit(fault.LPTimeout) {
-			poisoned[j] = true
-		}
-	}
-	// Work-space layout: problem j owns cells [off[j], off[j+1]).
-	off := make([]int, q+1)
-	for j, pr := range problems {
-		k := pr.K
-		if k < 2 {
-			k = 2
-		}
-		off[j+1] = off[j] + SpaceFactor*k
-	}
-	totalCells := off[q]
-	release := m.AllocScratch(int64(totalCells))
-	defer release()
-
-	cells := make([]pram.ClaimCell, totalCells)
-	pram.ResetClaims(cells)
-	frozen := make([]bool, totalCells)
-
-	sols := make([]Solution2D, q)
-	haveSol := make([]bool, q)
-	finished := make([]bool, q)
-	prob := make([]float64, q)
-	for j, pr := range problems {
-		k := float64(max(2, pr.K))
-		prob[j] = math.Min(1, 2*k/math.Max(1, float64(pr.MLive)))
-	}
-
-	violates := func(v int) (int, bool) {
-		j := probID(v)
-		if j < 0 || finished[j] {
-			return j, false
-		}
-		if !haveSol[j] {
-			return j, true
-		}
-		s := sols[j]
-		p := pt(v)
-		if s.Degenerate() {
-			// A top-point solution is only terminal for a vertical-column
-			// problem: any point off the column still needs a proper
-			// bridge, so it counts as a survivor — otherwise a degenerate
-			// solution through the problem's maximum would terminate
-			// vacuously and strand the off-column points.
-			return j, p.Y > s.U.Y || p.X != s.U.X
-		}
-		return j, s.Violates(p)
-	}
-
-	solveRound := func(members [][]geom.Point) {
-		// Solve every unfinished problem's base; one O(1)-step round of
-		// Σ|base|³ processors in the model. One "lp-iter" span per round
-		// lets experiment E16 count rounds against Lemma 4.2's bound.
-		defer obs.Span(m, "lp-iter")()
-		var work int64
-		for j := range problems {
-			if finished[j] {
-				continue
-			}
-			base := members[j]
-			base = append(base, problems[j].Splitter)
-			if problems[j].HasAnchor {
-				base = append(base, problems[j].Anchor)
-			}
-			if haveSol[j] {
-				base = append(base, sols[j].U, sols[j].W)
-			}
-			b := int64(len(base))
-			work += b * b * b
-			if s, ok := solveBase2D(base, problems[j].abscissa()); ok {
-				sols[j] = s
-				haveSol[j] = true
-			}
-			res[j].Iterations++
-		}
-		m.Charge(2, work)
-	}
-
-	surviveRound := func() {
-		// Survivor marking and the per-problem "any survivor?" OR, one
-		// step over the virtual array. When Trace is on, exact survivor
-		// counts are also gathered host-side (instrumentation only, E7).
-		anyS := make([]pram.OrCell, q)
-		m.Step(n, func(v int) bool {
-			j, viol := violates(v)
-			if j < 0 || finished[j] {
-				return false
-			}
-			if viol {
-				anyS[j].Set()
-			}
-			return true
-		})
-		if Trace {
-			counts := make([]int, q)
-			for v := 0; v < n; v++ {
-				if j, viol := violates(v); j >= 0 && !finished[j] && viol {
-					counts[j]++
-				}
-			}
-			for j := range problems {
-				if !finished[j] {
-					res[j].SurvivorTrace = append(res[j].SurvivorTrace, counts[j])
-				}
-			}
-		}
-		for j := range problems {
-			if finished[j] || poisoned[j] {
-				continue
-			}
-			if !anyS[j].Get() {
-				finished[j] = true
-				res[j].Sol = sols[j]
-				res[j].OK = true
-			}
-		}
-	}
-
-	placed := make([]bool, n)
-	sampleRound := func(round uint64, forceProb bool) [][]geom.Point {
-		// Fault injection (SampleStorm): the whole sampling round
-		// collides; every base comes back empty and the survivors stay
-		// survivors for the next round.
-		if inj.Hit(fault.SampleStorm) {
-			m.Charge(2*sampleAttempts+2, int64(sampleAttempts)*int64(n)+int64(totalCells))
-			return make([][]geom.Point, q)
-		}
-		// §3.1 steps 1–4: each writer claims a random cell of its
-		// problem's block; collisions retry for sampleAttempts rounds.
-		for c := range cells {
-			frozen[c] = false
-			cells[c].Reset()
-		}
-		for v := range placed {
-			placed[v] = false
-		}
-		m.Charge(1, int64(totalCells)+int64(n)) // work-space reset step
-		base := rnd.Split(0xabc + round)
-		attempting := make([]bool, n)
-		m.Step(n, func(v int) bool {
-			j, viol := violates(v)
-			if j < 0 || finished[j] || !viol {
-				return false
-			}
-			p := prob[j]
-			if forceProb {
-				p = 1
-			}
-			attempting[v] = base.Split(uint64(v)).Bernoulli(p)
-			return true
-		})
-		for a := 0; a < sampleAttempts; a++ {
-			aa := uint64(a)
-			m.Step(n, func(v int) bool {
-				if !attempting[v] || placed[v] {
-					return false
-				}
-				j := probID(v)
-				s := base.Split(uint64(v)*sampleAttempts + aa + 0x9000)
-				span := off[j+1] - off[j]
-				slot := off[j] + s.Intn(span)
-				if !frozen[slot] {
-					cells[slot].Claim(int64(v))
-				}
-				return true
-			})
-			m.Step(totalCells, func(c int) bool {
-				if frozen[c] {
-					return false
-				}
-				owner := cells[c].Owner()
-				if owner < 0 {
-					return false
-				}
-				if cells[c].Contested() {
-					cells[c].Reset()
-				} else {
-					frozen[c] = true
-					placed[owner] = true
-				}
-				return true
-			})
-		}
-		// Reading members out of the work space: one step of totalCells
-		// processors. Bases are capped at Θ(k) members — the base problem
-		// must stay brute-forceable with the problem's processor share;
-		// excess survivors simply stay survivors for later rounds.
-		m.Charge(1, int64(totalCells))
-		members := make([][]geom.Point, q)
-		for j := 0; j < q; j++ {
-			capM := 4 * max(2, problems[j].K)
-			for c := off[j]; c < off[j+1] && len(members[j]) < capM; c++ {
-				if frozen[c] {
-					members[j] = append(members[j], pt(int(cells[c].Owner())))
-				}
-			}
-		}
-		return members
-	}
-
-	for j := 0; j < DefaultBeta; j++ {
-		members := sampleRound(uint64(j), false)
-		solveRound(members)
-		surviveRound()
-		allDone := true
-		for i := range finished {
-			if !finished[i] {
-				allDone = false
-			}
-			prob[i] = math.Min(1, 2*float64(max(2, problems[i].K))*prob[i])
-		}
-		if allDone {
-			return res
-		}
-	}
-
-	// §3.3 step 4: compact each unfinished problem's survivors into its
-	// base problem; if too many, one more ordinary round, then retry.
-	allDone := func() bool {
-		for i := range finished {
-			if !finished[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for attempt := 0; attempt < terminalAttempts; attempt++ {
-		members := make([][]geom.Point, q)
-		anyCompacted := false
-		// The per-problem compactions operate on disjoint work spaces and
-		// run concurrently in the model: compose them with Concurrent so
-		// the step cost is their maximum, not their sum.
-		var fns []func(*pram.Machine)
-		for j := range problems {
-			if finished[j] {
-				continue
-			}
-			k := max(2, problems[j].K)
-			jj := j
-			fns = append(fns, func(sub *pram.Machine) {
-				// Compact this problem's survivors into its 16k base area
-				// (§3.3 step 4): bound the count by the area, not k⁴.
-				ids, ok := compact.InPlaceCompactArea(sub, rnd.Split(0xf00+uint64(attempt)*64+uint64(jj)), n, SpaceFactor*k, SpaceFactor*k, 0.34, func(v int) bool {
-					pj, viol := violates(v)
-					return pj == jj && viol
-				})
-				if !ok {
-					return
-				}
-				res[jj].SweptIn = true
-				anyCompacted = true
-				for _, v := range ids {
-					members[jj] = append(members[jj], pt(v))
-				}
-			})
-		}
-		m.Concurrent(fns...)
-		if anyCompacted {
-			solveRound(members)
-			surviveRound()
-			if allDone() {
-				return res
-			}
-		}
-		// Extra ordinary round for the stubborn problems ("repeat steps
-		// 1–3 once more").
-		members = sampleRound(0x40+uint64(attempt), true)
-		solveRound(members)
-		surviveRound()
-		if allDone() {
-			return res
-		}
-	}
-	for j := range problems {
-		if !finished[j] {
-			res[j].Sol = sols[j]
-			res[j].OK = false
-		}
-	}
-	return res
+	return s.Violates(p)
 }
 
 // Bridge2D runs a single in-place bridge-finding problem (a batch of one):
 // find the upper-hull edge above the splitter among the live positions.
 func Bridge2D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point, live func(int) bool, mLive int, splitter geom.Point, k int) Result2D {
-	pid := func(v int) int {
-		if live(v) {
-			return 0
-		}
-		return -1
-	}
-	res := BatchBridge2D(m, rnd, n, pt, pid, []Problem2D{{Splitter: splitter, K: k, MLive: mLive}})
-	return res[0]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return BatchBridge2D(m, rnd, n, pt, onlyLive(live), []Problem2D{{Splitter: splitter, K: k, MLive: mLive}})[0]
 }

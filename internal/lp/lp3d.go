@@ -3,10 +3,7 @@ package lp
 import (
 	"math"
 
-	"inplacehull/internal/compact"
-	"inplacehull/internal/fault"
 	"inplacehull/internal/geom"
-	"inplacehull/internal/obs"
 	"inplacehull/internal/pram"
 	"inplacehull/internal/rng"
 )
@@ -132,300 +129,39 @@ type Problem3D struct {
 	MLive int
 }
 
-// Result3D is the outcome of one problem of a 3-d batch.
-type Result3D struct {
-	Sol           Solution3D
-	OK            bool
-	Iterations    int
-	SurvivorTrace []int
-	SweptIn       bool
+// BatchBridge3D runs in-place facet finding (§3.3) for all problems
+// simultaneously over n virtual processors: the 3-d binding of
+// batchBridge, with k = p^(1/4) bases solved at each splitter's (x, y).
+func BatchBridge3D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point3, probID func(int) int, problems []Problem3D) []Result3D {
+	return batchBridge(m, rnd, n, pt, probID, len(problems), dimSpec[geom.Point3, Solution3D]{
+		d:    3,
+		size: func(j int) (int, int) { return problems[j].K, problems[j].MLive },
+		base: func(j int, base []geom.Point3, prev Solution3D, havePrev bool) []geom.Point3 {
+			base = append(base, problems[j].Splitter)
+			if havePrev {
+				base = append(base, prev.A, prev.B, prev.C)
+			}
+			return base
+		},
+		solve: func(j int, base []geom.Point3) (Solution3D, bool) {
+			sp := problems[j].Splitter
+			return solveBase3D(base, sp.X, sp.Y)
+		},
+		survives: survives3D,
+	})
 }
 
-// BatchBridge3D runs in-place facet finding (§3.3, 3-d case: base size
-// k = p^(1/4)) for all problems simultaneously over n virtual processors.
-// The structure is identical to BatchBridge2D; see that function.
-func BatchBridge3D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point3, probID func(int) int, problems []Problem3D) []Result3D {
-	q := len(problems)
-	res := make([]Result3D, q)
-	if q == 0 {
-		return res
-	}
-	// Injected non-convergence (Lemma 4.2's failure event): a poisoned
-	// problem is never allowed to finish, so it exhausts the β-iteration
-	// budget and returns OK = false for the caller's failure sweep.
-	inj := fault.On(rnd)
-	poisoned := make([]bool, q)
-	for j := range problems {
-		if inj.Hit(fault.LPTimeout) {
-			poisoned[j] = true
-		}
-	}
-	off := make([]int, q+1)
-	for j, pr := range problems {
-		k := pr.K
-		if k < 3 {
-			k = 3
-		}
-		off[j+1] = off[j] + SpaceFactor*k
-	}
-	totalCells := off[q]
-	release := m.AllocScratch(int64(totalCells))
-	defer release()
-
-	cells := make([]pram.ClaimCell, totalCells)
-	pram.ResetClaims(cells)
-	frozen := make([]bool, totalCells)
-
-	sols := make([]Solution3D, q)
-	haveSol := make([]bool, q)
-	finished := make([]bool, q)
-	prob := make([]float64, q)
-	for j, pr := range problems {
-		k := float64(max(3, pr.K))
-		prob[j] = math.Min(1, 2*k/math.Max(1, float64(pr.MLive)))
-	}
-
-	violates := func(v int) (int, bool) {
-		j := probID(v)
-		if j < 0 || finished[j] {
-			return j, false
-		}
-		if !haveSol[j] {
-			return j, true
-		}
-		s := sols[j]
-		p := pt(v)
-		if s.Degenerate() {
-			// As in the 2-d case: a degenerate (top-point / xy-collinear)
-			// solution is only terminal when every live point shares the
-			// basis' xy-footprint.
-			if s.Violates(p) {
-				return j, true
-			}
-			off := pxy(p) != pxy(s.A) && pxy(p) != pxy(s.B) && pxy(p) != pxy(s.C)
-			return j, off
-		}
-		return j, s.Violates(p)
-	}
-
-	solveRound := func(members [][]geom.Point3) {
-		defer obs.Span(m, "lp-iter")()
-		var work int64
-		for j := range problems {
-			if finished[j] {
-				continue
-			}
-			base := members[j]
-			base = append(base, problems[j].Splitter)
-			if haveSol[j] {
-				base = append(base, sols[j].A, sols[j].B, sols[j].C)
-			}
-			b := int64(len(base))
-			work += b * b * b * b
-			if s, ok := solveBase3D(base, problems[j].Splitter.X, problems[j].Splitter.Y); ok {
-				sols[j] = s
-				haveSol[j] = true
-			}
-			res[j].Iterations++
-		}
-		m.Charge(3, work)
-	}
-
-	surviveRound := func() {
-		anyS := make([]pram.OrCell, q)
-		m.Step(n, func(v int) bool {
-			j, viol := violates(v)
-			if j < 0 || finished[j] {
-				return false
-			}
-			if viol {
-				anyS[j].Set()
-			}
-			return true
-		})
-		if Trace {
-			counts := make([]int, q)
-			for v := 0; v < n; v++ {
-				if j, viol := violates(v); j >= 0 && !finished[j] && viol {
-					counts[j]++
-				}
-			}
-			for j := range problems {
-				if !finished[j] {
-					res[j].SurvivorTrace = append(res[j].SurvivorTrace, counts[j])
-				}
-			}
-		}
-		for j := range problems {
-			if finished[j] || poisoned[j] {
-				continue
-			}
-			if !anyS[j].Get() {
-				finished[j] = true
-				res[j].Sol = sols[j]
-				res[j].OK = true
-			}
-		}
-	}
-
-	placed := make([]bool, n)
-	sampleRound := func(round uint64, forceProb bool) [][]geom.Point3 {
-		// §3.1 steps 1–4 with claim retries, as in BatchBridge2D.
-		if inj.Hit(fault.SampleStorm) {
-			// Injected claim-collision storm: the whole round's samples come
-			// back empty; the iteration is spent with nothing to show.
-			m.Charge(2*sampleAttempts+2, int64(sampleAttempts)*int64(n)+int64(totalCells))
-			return make([][]geom.Point3, q)
-		}
-		for c := range cells {
-			frozen[c] = false
-			cells[c].Reset()
-		}
-		for v := range placed {
-			placed[v] = false
-		}
-		m.Charge(1, int64(totalCells)+int64(n))
-		base := rnd.Split(0xabc + round)
-		attempting := make([]bool, n)
-		m.Step(n, func(v int) bool {
-			j, viol := violates(v)
-			if j < 0 || finished[j] || !viol {
-				return false
-			}
-			p := prob[j]
-			if forceProb {
-				p = 1
-			}
-			attempting[v] = base.Split(uint64(v)).Bernoulli(p)
-			return true
-		})
-		for a := 0; a < sampleAttempts; a++ {
-			aa := uint64(a)
-			m.Step(n, func(v int) bool {
-				if !attempting[v] || placed[v] {
-					return false
-				}
-				j := probID(v)
-				s := base.Split(uint64(v)*sampleAttempts + aa + 0x9000)
-				span := off[j+1] - off[j]
-				slot := off[j] + s.Intn(span)
-				if !frozen[slot] {
-					cells[slot].Claim(int64(v))
-				}
-				return true
-			})
-			m.Step(totalCells, func(c int) bool {
-				if frozen[c] {
-					return false
-				}
-				owner := cells[c].Owner()
-				if owner < 0 {
-					return false
-				}
-				if cells[c].Contested() {
-					cells[c].Reset()
-				} else {
-					frozen[c] = true
-					placed[owner] = true
-				}
-				return true
-			})
-		}
-		m.Charge(1, int64(totalCells))
-		members := make([][]geom.Point3, q)
-		for j := 0; j < q; j++ {
-			capM := 4 * max(3, problems[j].K)
-			for c := off[j]; c < off[j+1] && len(members[j]) < capM; c++ {
-				if frozen[c] {
-					members[j] = append(members[j], pt(int(cells[c].Owner())))
-				}
-			}
-		}
-		return members
-	}
-
-	for j := 0; j < DefaultBeta; j++ {
-		members := sampleRound(uint64(j), false)
-		solveRound(members)
-		surviveRound()
-		allDone := true
-		for i := range finished {
-			if !finished[i] {
-				allDone = false
-			}
-			prob[i] = math.Min(1, 2*float64(max(3, problems[i].K))*prob[i])
-		}
-		if allDone {
-			return res
-		}
-	}
-
-	allDone := func() bool {
-		for i := range finished {
-			if !finished[i] {
-				return false
-			}
-		}
+// survives3D is the 3-d terminal-survivor rule. As in the 2-d case, a
+// degenerate (top-point / xy-collinear) solution is only terminal when
+// every live point shares the basis' xy-footprint.
+func survives3D(s Solution3D, p geom.Point3) bool {
+	if s.Violates(p) {
 		return true
 	}
-	for attempt := 0; attempt < terminalAttempts; attempt++ {
-		members := make([][]geom.Point3, q)
-		anyCompacted := false
-		// Disjoint per-problem compactions run concurrently in the model.
-		var fns []func(*pram.Machine)
-		for j := range problems {
-			if finished[j] {
-				continue
-			}
-			k := max(3, problems[j].K)
-			jj := j
-			fns = append(fns, func(sub *pram.Machine) {
-				ids, ok := compact.InPlaceCompactArea(sub, rnd.Split(0xf00+uint64(attempt)*64+uint64(jj)), n, SpaceFactor*k, SpaceFactor*k, 0.34, func(v int) bool {
-					pj, viol := violates(v)
-					return pj == jj && viol
-				})
-				if !ok {
-					return
-				}
-				res[jj].SweptIn = true
-				anyCompacted = true
-				for _, v := range ids {
-					members[jj] = append(members[jj], pt(v))
-				}
-			})
-		}
-		m.Concurrent(fns...)
-		if anyCompacted {
-			solveRound(members)
-			surviveRound()
-			if allDone() {
-				return res
-			}
-		}
-		members = sampleRound(0x40+uint64(attempt), true)
-		solveRound(members)
-		surviveRound()
-		if allDone() {
-			return res
-		}
-	}
-	for j := range problems {
-		if !finished[j] {
-			res[j].Sol = sols[j]
-			res[j].OK = false
-		}
-	}
-	return res
+	return s.Degenerate() && pxy(p) != pxy(s.A) && pxy(p) != pxy(s.B) && pxy(p) != pxy(s.C)
 }
 
 // Bridge3D runs a single in-place facet-finding problem (a batch of one).
 func Bridge3D(m *pram.Machine, rnd *rng.Stream, n int, pt func(int) geom.Point3, live func(int) bool, mLive int, splitter geom.Point3, k int) Result3D {
-	pid := func(v int) int {
-		if live(v) {
-			return 0
-		}
-		return -1
-	}
-	res := BatchBridge3D(m, rnd, n, pt, pid, []Problem3D{{Splitter: splitter, K: k, MLive: mLive}})
-	return res[0]
+	return BatchBridge3D(m, rnd, n, pt, onlyLive(live), []Problem3D{{Splitter: splitter, K: k, MLive: mLive}})[0]
 }

@@ -322,10 +322,3 @@ func mergeHulls(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, g int, hulls
 	}
 	return res, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -79,11 +79,6 @@ type Config struct {
 	History int
 	// Logf receives fallback-decision log lines (nil discards).
 	Logf func(format string, args ...any)
-	// OnCommit, when non-nil, observes every committed delta (including
-	// registration and the tombstone delta of a dataset deletion) —
-	// the serving layer's cache-invalidation hook. Called synchronously
-	// under the dataset lock; keep it cheap.
-	OnCommit func(Delta)
 }
 
 func (c Config) minChurn() int { return defInt(c.MinChurn, 256) }
@@ -365,9 +360,6 @@ func (d *Dataset) commit(delta Delta, add2, del2 []geom.Point, add3, del3 []geom
 		d.history = append(d.history[:0], d.history[len(d.history)-h:]...)
 	}
 	d.notify(delta)
-	if d.cfg.OnCommit != nil {
-		d.cfg.OnCommit(delta)
-	}
 	if d.store != nil {
 		d.store.fanout(delta)
 	}
@@ -429,10 +421,9 @@ type Store struct {
 }
 
 // Watch registers fn to observe every delta committed store-wide after
-// the call — mutations and tombstones, after the dataset's own
-// Config.OnCommit. This is the serving layer's cache-invalidation seam,
-// kept outside Config so a server can attach to a store it did not
-// build. Hooks run synchronously under the dataset lock; keep them
+// the call — mutations and tombstones. This is the serving layer's
+// cache-invalidation seam, kept outside Config so a server can attach to
+// a store it did not build. Hooks run synchronously under the dataset lock; keep them
 // cheap. Registration deltas of datasets created before Watch are not
 // replayed.
 func (s *Store) Watch(fn func(Delta)) {
@@ -574,9 +565,6 @@ func (s *Store) Delete(name string) (Delta, bool) {
 		close(sub.ch)
 	}
 	d.subs = map[int]*Sub{}
-	if d.cfg.OnCommit != nil {
-		d.cfg.OnCommit(tomb)
-	}
 	s.fanout(tomb)
 	return tomb, true
 }
