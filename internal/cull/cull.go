@@ -307,15 +307,18 @@ func extremes2(pts []geom.Point, dirs []geom.Point) []geom.Point {
 			if hi > len(pts) {
 				hi = len(pts)
 			}
+			// dots[d] is best[d]'s dot product with dirs[d]; dirs
+			// holds at most len(octDirs) directions.
 			best := make([]geom.Point, len(dirs))
-			for d := range dirs {
-				best[d] = pts[lo]
+			var dots [len(octDirs)]float64
+			for d, dir := range dirs {
+				best[d], dots[d] = pts[lo], pts[lo].X*dir.X+pts[lo].Y*dir.Y
 			}
 			for i := lo; i < hi; i++ {
 				p := pts[i]
 				for d, dir := range dirs {
-					if p.X*dir.X+p.Y*dir.Y > best[d].X*dir.X+best[d].Y*dir.Y {
-						best[d] = p
+					if dot := p.X*dir.X + p.Y*dir.Y; dot > dots[d] {
+						best[d], dots[d] = p, dot
 					}
 				}
 			}
@@ -416,12 +419,13 @@ func strictLeft(u, w, p geom.Point) bool {
 // certainly strictly left of every directed edge. O(|poly|) per point —
 // used for the fixed quad/octagon polygons.
 func insideStrict(poly []geom.Point, p geom.Point) bool {
-	n := len(poly)
-	for i := 0; i < n; i++ {
+	u := poly[len(poly)-1]
+	for _, w := range poly {
 		// strictLeft, written out: the filter inlines here, not there.
-		if det, bound := geom.OrientationDet(poly[i], poly[(i+1)%n], p); !(det > bound) {
+		if det, bound := geom.OrientationDet(u, w, p); !(det > bound) {
 			return false
 		}
+		u = w
 	}
 	return true
 }

@@ -18,7 +18,8 @@ import (
 // mantissa+1); scanner.float hands anything those cannot decide to
 // strconv.ParseFloat on the same bytes. Each step that answers returns
 // the correctly rounded float64, so the result is bit-identical to
-// strconv's; FuzzParseNumber checks it.
+// strconv's; FuzzParseNumber checks it. The Eisel–Lemire table serves
+// both directions: ftoa.go formats the answer's coordinates from it.
 
 // maxMantDigits is the significant digits a uint64 mantissa keeps, as
 // in strconv.
@@ -193,7 +194,8 @@ func clinger(mant uint64, exp int, neg bool) (float64, bool) {
 
 // The Eisel–Lemire table holds, for each e in [pow10Min, pow10Max], the
 // top 128 bits of 10^e normalized so the highest bit is set, rounded
-// down, as {low, high} words.
+// down, as {low, high} words. Schubfach's g(k) (ftoa.go) is T[−k]/4
+// rounded down, plus one.
 const (
 	pow10Min = -348
 	pow10Max = 347
@@ -202,7 +204,8 @@ const (
 type pow10Table [pow10Max - pow10Min + 1][2]uint64
 
 // pow10s builds the table from math/big once per process, on the first
-// number that needs it rather than at start-up.
+// number that needs it — one scanned, or a chain encoded — rather than
+// at start-up.
 var pow10s = sync.OnceValue(func() *pow10Table {
 	t := new(pow10Table)
 	ten := big.NewInt(10)

@@ -494,32 +494,15 @@ func writeHullResult(w http.ResponseWriter, status int, out httpResult, chain []
 // appendCoords2 appends pts as a JSON array of [x,y] pairs, byte for byte
 // as encoding/json encodes the equivalent [][]float64.
 func appendCoords2(b []byte, pts []geom.Point) []byte {
+	pow := pow10s()
 	b = append(b, '[')
 	for i, p := range pts {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(append(b, '['), p.X)
-		b = appendFloat(append(b, ','), p.Y)
+		b = appendFloatPow(append(b, '['), p.X, pow)
+		b = appendFloatPow(append(b, ','), p.Y, pow)
 		b = append(b, ']')
 	}
 	return append(b, ']')
-}
-
-// appendFloat formats a finite f as encoding/json does (the ES6 number
-// conversion): shortest round-trip digits, 'f' form unless |f| < 1e-6 or
-// |f| >= 1e21, and a two-digit negative exponent trimmed (e-07 → e-7).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
