@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"inplacehull/internal/fault"
@@ -258,6 +259,139 @@ func TestChaosSoak2D(t *testing.T) {
 	}
 	if violations != 0 {
 		t.Fatalf("%d contract violations", violations)
+	}
+}
+
+// sortedPoints3 returns a lex-sorted copy, for multiset comparison.
+func sortedPoints3(pts []geom.Point3) []geom.Point3 {
+	out := append([]geom.Point3(nil), pts...)
+	sort.Slice(out, func(i, k int) bool { return geom.LexLess3(out[i], out[k]) })
+	return out
+}
+
+// samePoints3 is exact slice equality.
+func samePoints3(a, b []geom.Point3) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestChaosSoak3D is TestChaosSoak2D on a 3-d dataset: with StreamSplice
+// and StreamRebuild firing, and a tape of fresh appends, duplicate
+// appends, tombstone revivals, deletes and deletes of absent points,
+// every mutation either commits caps that pass CheckCaps3D over exactly
+// the mirrored live multiset, or fails typed with version, hash,
+// snapshot and hull vertex set unchanged.
+func TestChaosSoak3D(t *testing.T) {
+	ctx := context.Background()
+	met := obs.NewMetrics()
+	var plan fault.Plan
+	plan.Seed = 0xbeef
+	plan.Rates[fault.StreamSplice] = 0.3
+	plan.Rates[fault.StreamRebuild] = 0.4
+	inj := fault.NewInjector(plan)
+	st := NewStore(Config{Injector: inj, Metrics: met})
+	init := workload.Ball(23, 192)
+	d, _, err := st.Register3("soak3", init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := append([]geom.Point3(nil), init...)
+	var gone []geom.Point3 // deleted points, candidates for revival
+	fresh := workload.Sphere(79, 1024)
+	fi := 0
+	s := rng.New(29)
+	absent := geom.Point3{X: 99, Y: 99, Z: 99}
+	typed, dups, revivals := 0, 0, 0
+	for step := 0; step < 400; step++ {
+		v0, h0 := d.Version()
+		snap0, _ := d.Snapshot3()
+		verts0, _, _, _ := d.Hull3()
+		var batch []geom.Point3
+		appending := true
+		switch r := s.Intn(10); {
+		case len(live) == 0 || (r < 3 && fi < len(fresh)):
+			batch = []geom.Point3{fresh[fi]}
+			fi++
+		case r < 4:
+			batch = []geom.Point3{live[s.Intn(len(live))]}
+			dups++
+		case r < 5 && len(gone) > 0:
+			batch = []geom.Point3{gone[s.Intn(len(gone))]}
+			revivals++
+		case r < 6:
+			appending = false
+			batch = []geom.Point3{live[s.Intn(len(live))], absent}
+		default:
+			appending = false
+			i := s.Intn(len(live))
+			batch = []geom.Point3{live[i]}
+			if k := s.Intn(len(live)); k != i && s.Intn(2) == 0 {
+				batch = append(batch, live[k])
+			}
+		}
+		if appending {
+			_, err = d.Append3(ctx, batch)
+		} else {
+			_, err = d.Delete3(ctx, batch)
+		}
+		if err != nil {
+			typed++
+			v1, h1 := d.Version()
+			snap1, _ := d.Snapshot3()
+			verts1, _, _, _ := d.Hull3()
+			if v1 != v0 || h1 != h0 {
+				t.Fatalf("step %d: failed mutation moved state v%d→v%d", step, v0, v1)
+			}
+			if !samePoints3(snap0.Points, snap1.Points) || len(snap0.Res.Facets) != len(snap1.Res.Facets) {
+				t.Fatalf("step %d: failed mutation changed the snapshot", step)
+			}
+			if !samePoints3(verts0, verts1) {
+				t.Fatalf("step %d: failed mutation changed the vertex set", step)
+			}
+			continue
+		}
+		if appending {
+			live = append(live, batch...)
+		} else {
+			for _, p := range batch {
+				for i, q := range live {
+					if q == p {
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
+						break
+					}
+				}
+				gone = append(gone, p)
+			}
+		}
+		snap, err := d.Snapshot3()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePoints3(sortedPoints3(snap.Points), sortedPoints3(live)) {
+			t.Fatalf("step %d: snapshot holds %d points, mirror %d, or different ones", step, len(snap.Points), len(live))
+		}
+		if len(snap.Points) > 0 {
+			if err := unsorted.CheckCaps3D(snap.Points, snap.Res); err != nil {
+				t.Fatalf("step %d: committed caps failed oracle: %v", step, err)
+			}
+		}
+	}
+	if typed == 0 || dups == 0 || revivals == 0 {
+		t.Fatalf("soak coverage: %d typed failures, %d duplicate appends, %d revivals", typed, dups, revivals)
+	}
+	if met.StreamCounter("rollbacks_total") == 0 {
+		t.Fatal("no rollbacks counted")
+	}
+	if met.StreamCounter("fallbacks_total") == 0 {
+		t.Fatal("no fallbacks counted")
 	}
 }
 
