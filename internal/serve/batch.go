@@ -37,12 +37,16 @@ func (s *Server) executor() {
 	}
 }
 
+// bypassBatchN is the point count from which a counted query dispatches
+// solo without waiting out the batch window.
+const bypassBatchN = 8192
+
 // bypass reports whether r dispatches solo. Batching exists to amortize
 // machine dispatch across small counted queries: a large query amortizes
 // it by itself, and a native query has no machine dispatch to amortize.
 func (s *Server) bypass(r *request) bool {
 	return r.plan.Backend == resilient.BackendNative ||
-		len(r.in2.Work)+len(r.in3.Work) >= s.cfg.BypassBatchN
+		len(r.in2.Work)+len(r.in3.Work) >= bypassBatchN
 }
 
 // fill coalesces a batch around first: greedily take what is already

@@ -27,7 +27,7 @@
 //     persistent worker pool warm and busy instead of paying
 //     checkout/wake churn per query — the serving-layer echo of the
 //     paper's work-optimality theme (Theorem 5, Lemma 7): keep the
-//     processors you have saturated. Large queries (≥ Config.BypassBatchN
+//     processors you have saturated. Large queries (≥ bypassBatchN = 8192
 //     points) and native queries are never held back by the window; they
 //     dispatch solo, immediately. Native queries fork and join with no
 //     step barriers, so there is no worker pool to keep warm, and the
@@ -86,9 +86,6 @@ type Config struct {
 	// Workers is the worker-pool width of each fleet machine. Default
 	// GOMAXPROCS.
 	Workers int
-	// ParallelThreshold, when > 0, pins each machine's dispatch threshold
-	// (pram.WithParallelThreshold) — tests use it for determinism.
-	ParallelThreshold int
 	// MaxQueue bounds the admission queue; a full queue sheds with the
 	// typed overload error. Default 256.
 	MaxQueue int
@@ -100,9 +97,6 @@ type Config struct {
 	// counted queries open for stragglers. 0 means batches only coalesce
 	// what is already queued. Native queries never wait. Default 200µs.
 	BatchWindow time.Duration
-	// BypassBatchN: counted queries with at least this many points
-	// dispatch solo without waiting out the window. Default 8192.
-	BypassBatchN int
 	// CacheSize bounds the result LRU in entries; 0 disables caching.
 	CacheSize int
 	// Policy tunes the resilient supervisor every query runs under.
@@ -176,9 +170,6 @@ func (c *Config) fill() {
 	if c.BatchWindow < 0 {
 		c.BatchWindow = 0
 	}
-	if c.BypassBatchN <= 0 {
-		c.BypassBatchN = 8192
-	}
 	if c.NewStream == nil {
 		c.NewStream = rng.New
 	}
@@ -251,13 +242,9 @@ type Server struct {
 // and one executor goroutine per machine begins draining the queue.
 func NewServer(cfg Config) *Server {
 	cfg.fill()
-	opts := []pram.Option{pram.WithWorkers(cfg.Workers)}
-	if cfg.ParallelThreshold > 0 {
-		opts = append(opts, pram.WithParallelThreshold(cfg.ParallelThreshold))
-	}
 	s := &Server{
 		cfg:      cfg,
-		fleet:    pram.NewFleet(cfg.FleetSize, opts...),
+		fleet:    pram.NewFleet(cfg.FleetSize, pram.WithWorkers(cfg.Workers)),
 		datasets: make(map[string]*dataset, len(cfg.Datasets)),
 		queue:    make(chan *request, cfg.MaxQueue),
 		stop:     make(chan struct{}),

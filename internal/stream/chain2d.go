@@ -31,37 +31,19 @@ import (
 	"inplacehull/internal/fault"
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
-	"inplacehull/internal/hullerr"
-	"inplacehull/internal/hullhash"
 )
 
-// newDataset2 builds a registered 2-d dataset: membership structures plus
-// a direct full chain build (registration is one rebuild, not n splices).
-func newDataset2(name string, cfg Config, pts []geom.Point) (*Dataset, Delta, error) {
-	d := &Dataset{
-		name:   name,
-		dim:    2,
-		cfg:    cfg,
-		subs:   make(map[int]*Sub),
-		counts: make(map[geom.Point]int, len(pts)),
-		ms:     hullhash.NewMultiset2(),
-	}
-	for _, p := range pts {
-		if d.counts[p] == 0 {
-			d.order = append(d.order, p)
-			d.distin++
-		}
-		d.counts[p]++
-		d.liveN++
-	}
-	geom.SortLex(d.order)
-	chain, _, err := engine.NativeChain2D(context.Background(), pts, cfg.Sink)
+// init2 commits a registered 2-d dataset's first version: one native
+// chain build over the sorted distinct band (registration is one
+// rebuild, not n splices; the band is already sorted, so the build does
+// not sort again).
+func (d *Dataset) init2(set *liveSet[geom.Point]) (Delta, error) {
+	chain, _, err := engine.NativeChain2D(context.Background(), set.band, d.cfg.Sink)
 	if err != nil {
-		return nil, Delta{}, err
+		return Delta{}, err
 	}
-	d.chain = chain
-	delta := d.commit(Delta{Added: append([]geom.Point(nil), chain...)}, pts, nil, nil, nil)
-	return d, delta, nil
+	d.set2, d.chain = set, chain
+	return d.commit(Delta{Added: append([]geom.Point(nil), chain...)}, set.ms.Sum(), 0, 0), nil
 }
 
 // Append2 adds points to a 2-d dataset and commits one new version.
@@ -83,7 +65,6 @@ type mut2 struct {
 	reason      string // fallback reason once incremental is false
 	splices     int
 	repairs     int
-	maxStrip    int
 }
 
 func (d *Dataset) mutate2(ctx context.Context, op string, add, del []geom.Point) (Delta, error) {
@@ -92,23 +73,12 @@ func (d *Dataset) mutate2(ctx context.Context, op string, add, del []geom.Point)
 	if err := d.usable(2, op); err != nil {
 		return Delta{}, err
 	}
-	if err := hullerr.CheckFinite2D(op, add); err != nil {
+	set := d.set2
+	if err := set.open(op, d.name, add, del); err != nil {
 		return Delta{}, err
 	}
 	if len(add)+len(del) == 0 {
-		return Delta{Name: d.name, Dim: 2, Version: d.version, Hash: d.hash, PrevHash: d.hash}, nil
-	}
-	// Deletability pre-pass: the batch is all-or-nothing, so a missing
-	// point rejects it before any state changes.
-	if len(del) > 0 {
-		need := make(map[geom.Point]int, len(del))
-		for _, p := range del {
-			need[p]++
-			if d.counts[p] < need[p] {
-				return Delta{}, hullerr.New(hullerr.InvalidInput, op,
-					"point (%g, %g) not in dataset %q", p.X, p.Y, d.name)
-			}
-		}
+		return d.noop(), nil
 	}
 
 	st := mut2{work: d.chain, incremental: true}
@@ -116,50 +86,39 @@ func (d *Dataset) mutate2(ctx context.Context, op string, add, del []geom.Point)
 		st.incremental = false
 		st.reason = "injected splice fault"
 	}
-	var j journal
-	if st.incremental && len(del) > 0 {
-		end := d.cfg.span("stream-repair")
+	if len(del) > 0 {
+		end := d.cfg.spanIf(st.incremental, "stream-repair")
 		for _, p := range del {
-			d.remove2(p, &st, &j)
+			if set.remove(p) && st.incremental {
+				d.repair2(p, &st)
+			}
 		}
-		d.cfg.charge(len(del))
-		end()
-	} else {
-		for _, p := range del {
-			d.remove2(p, &st, &j)
-		}
+		end(len(del))
 	}
-	if st.incremental && len(add) > 0 {
-		end := d.cfg.span("stream-splice")
+	if len(add) > 0 {
+		end := d.cfg.spanIf(st.incremental, "stream-splice")
 		for _, p := range add {
-			d.insert2(p, &st, &j)
+			if set.add(p) && st.incremental {
+				if work, changed := insertChain(st.work, p); changed {
+					st.work = work
+					st.splices++
+				}
+			}
 		}
-		d.cfg.charge(len(add))
-		end()
-	} else {
-		for _, p := range add {
-			d.insert2(p, &st, &j)
-		}
+		end(len(add))
 	}
 
 	if !st.incremental {
-		d.cfg.count("fallbacks_total", 1)
-		if d.cfg.Injector.Hit(fault.StreamRebuild) {
-			j.rollback()
-			d.cfg.count("rollbacks_total", 1)
-			d.cfg.logf("stream %s: %s rolled back at v%d (injected rebuild failure after %s)",
-				d.name, op, d.version, st.reason)
-			return Delta{}, fallbackErr(op, d.name)
+		if err := d.fallback(set.rollback, op, st.reason); err != nil {
+			return Delta{}, err
 		}
 		end := d.cfg.span("stream-rebuild")
-		live := d.liveDistinct2()
+		live := set.live(false)
 		chain, _, err := engine.NativeChain2D(ctx, live, d.cfg.Sink)
 		d.cfg.charge(len(live))
 		end()
 		if err != nil {
-			j.rollback()
-			d.cfg.count("rollbacks_total", 1)
-			return Delta{}, err
+			return Delta{}, d.abort(set.rollback, err)
 		}
 		st.work = chain
 		d.cfg.count("rebuilds_total", 1)
@@ -168,40 +127,20 @@ func (d *Dataset) mutate2(ctx context.Context, op string, add, del []geom.Point)
 	}
 
 	endDelta := d.cfg.span("stream-delta")
-	added, removed := diffChains(d.chain, st.work)
+	added, removed := spec2.diff(d.chain, st.work)
 	d.chain = st.work
 	d.cfg.count("splices_total", int64(st.splices))
 	d.cfg.count("repairs_total", int64(st.repairs))
-	if len(add) > 0 {
-		d.cfg.count("appends_total", 1)
-		d.cfg.count("points_added_total", int64(len(add)))
-	}
-	if len(del) > 0 {
-		d.cfg.count("deletes_total", 1)
-		d.cfg.count("points_removed_total", int64(len(del)))
-	}
-	delta := d.commit(Delta{Added: added, Removed: removed, Fallback: st.reason}, add, del, nil, nil)
-	d.housekeep2()
+	delta := d.commit(Delta{Added: added, Removed: removed, Fallback: st.reason}, set.ms.Sum(), len(add), len(del))
+	set.housekeep()
 	d.cfg.charge(len(added) + len(removed))
 	endDelta()
 	return delta, nil
 }
 
-// remove2 removes one occurrence of p from the membership structures and,
-// on the incremental path, repairs the chain if p was a hull vertex.
-func (d *Dataset) remove2(p geom.Point, st *mut2, j *journal) {
-	d.liveN--
-	d.counts[p]--
-	j.add(func() { d.liveN++; d.counts[p]++ })
-	if d.counts[p] > 0 {
-		return // multiplicity remains; the distinct point set is unchanged
-	}
-	d.dead++
-	d.distin--
-	j.add(func() { d.dead--; d.distin++ })
-	if !st.incremental {
-		return
-	}
+// repair2 repairs the chain after p left the live point set: a hull
+// vertex is replaced by the re-hulled strip between its chain neighbors.
+func (d *Dataset) repair2(p geom.Point, st *mut2) {
 	idx := chainIndexOf(st.work, p)
 	if idx < 0 {
 		return // interior point: every chain vertex stays extreme
@@ -221,9 +160,6 @@ func (d *Dataset) remove2(p geom.Point, st *mut2, j *journal) {
 		st.reason = fmt.Sprintf("churn: delete strip exceeds %d live points", limit)
 		return
 	}
-	if len(strip) > st.maxStrip {
-		st.maxStrip = len(strip)
-	}
 	sub := hull2d.UpperHull(strip)
 	start, end := idx, idx+1
 	if hasLo {
@@ -236,34 +172,6 @@ func (d *Dataset) remove2(p geom.Point, st *mut2, j *journal) {
 	st.repairs++
 }
 
-// insert2 adds one occurrence of p and, on the incremental path, splices
-// it into the chain if it rises above it.
-func (d *Dataset) insert2(p geom.Point, st *mut2, j *journal) {
-	d.liveN++
-	old := d.counts[p]
-	d.counts[p] = old + 1
-	j.add(func() { d.liveN--; d.counts[p] = old })
-	if old > 0 {
-		return // duplicate occurrence: distinct set unchanged
-	}
-	d.distin++
-	j.add(func() { d.distin-- })
-	if d.inOrder(p) || d.inPending(p) {
-		d.dead-- // tombstone revival
-		j.add(func() { d.dead++ })
-	} else {
-		d.pending = append(d.pending, p)
-		j.add(func() { d.pending = d.pending[:len(d.pending)-1] })
-	}
-	if !st.incremental {
-		return
-	}
-	if work, changed := insertChain(st.work, p); changed {
-		st.work = work
-		st.splices++
-	}
-}
-
 // insertChain splices p into the canonical chain, returning a fresh slice
 // when the chain changes (the input is never mutated).
 func insertChain(chain []geom.Point, p geom.Point) ([]geom.Point, bool) {
@@ -271,7 +179,7 @@ func insertChain(chain []geom.Point, p geom.Point) ([]geom.Point, bool) {
 	if n == 0 {
 		return []geom.Point{p}, true
 	}
-	k := searchChainX(chain, p.X)
+	k := searchX(chain, p.X)
 	var left, right []geom.Point
 	switch {
 	case k < n && chain[k].X == p.X:
@@ -313,73 +221,9 @@ func spliceChain(chain []geom.Point, start, end int, sub []geom.Point) []geom.Po
 	return out
 }
 
-// searchChainX is the lower bound of x in the strictly x-increasing chain.
-func searchChainX(chain []geom.Point, x float64) int {
-	lo, hi := 0, len(chain)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if chain[mid].X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// chainIndexOf returns p's index in the chain, or −1 when p is not a
-// chain vertex (a chain vertex is the unique top of its column, so an
-// x match with a different y is not a vertex).
-func chainIndexOf(chain []geom.Point, p geom.Point) int {
-	k := searchChainX(chain, p.X)
-	if k < len(chain) && chain[k] == p {
-		return k
-	}
-	return -1
-}
-
-// churnLimit is the delete-repair fallback threshold.
-func (d *Dataset) churnLimit() int {
-	frac := int(d.cfg.churnFrac() * float64(d.distin))
-	if m := d.cfg.minChurn(); frac < m {
-		return m
-	}
-	return frac
-}
-
-// gatherStrip collects the live distinct points with x in the (half-)open
-// strip, reading the sorted band plus the pending buffer, stopping once
-// the count exceeds limit (ok false: churn fallback).
-func (d *Dataset) gatherStrip(lox, hix float64, hasLo, hasHi bool, limit int) ([]geom.Point, bool) {
-	var strip []geom.Point
-	i := 0
-	if hasLo {
-		i = searchPointsX(d.order, lox)
-	}
-	for ; i < len(d.order); i++ {
-		p := d.order[i]
-		if hasHi && p.X > hix {
-			break
-		}
-		if d.counts[p] > 0 {
-			if strip = append(strip, p); len(strip) > limit {
-				return nil, false
-			}
-		}
-	}
-	for _, p := range d.pending {
-		if d.counts[p] <= 0 || (hasLo && p.X < lox) || (hasHi && p.X > hix) {
-			continue
-		}
-		if strip = append(strip, p); len(strip) > limit {
-			return nil, false
-		}
-	}
-	return strip, true
-}
-
-// searchPointsX is the lower bound of x in the lex-sorted order band.
-func searchPointsX(pts []geom.Point, x float64) int {
+// searchX is the lower bound of x in x-sorted points: the chain or the
+// lex-sorted band.
+func searchX(pts []geom.Point, x float64) int {
 	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -392,122 +236,54 @@ func searchPointsX(pts []geom.Point, x float64) int {
 	return lo
 }
 
-// inOrder reports whether p has an entry (live or tombstone) in the
-// sorted band.
-func (d *Dataset) inOrder(p geom.Point) bool {
-	i := searchPointsX(d.order, p.X)
-	for ; i < len(d.order) && d.order[i].X == p.X; i++ {
-		if d.order[i] == p {
-			return true
-		}
+// chainIndexOf returns p's index in the chain, or −1 when p is not a
+// chain vertex (a chain vertex is the unique top of its column, so an
+// x match with a different y is not a vertex).
+func chainIndexOf(chain []geom.Point, p geom.Point) int {
+	k := searchX(chain, p.X)
+	if k < len(chain) && chain[k] == p {
+		return k
 	}
-	return false
+	return -1
 }
 
-// inPending reports whether p has an entry in the pending buffer (a
-// linear scan; the buffer is bounded by the flush threshold).
-func (d *Dataset) inPending(p geom.Point) bool {
-	for _, q := range d.pending {
-		if q == p {
-			return true
-		}
+// churnLimit is the delete-repair fallback threshold.
+func (d *Dataset) churnLimit() int {
+	frac := int(d.cfg.churnFrac() * float64(d.set2.distin))
+	if m := d.cfg.minChurn(); frac < m {
+		return m
 	}
-	return false
+	return frac
 }
 
-// liveDistinct2 returns the live distinct points, sorted lexicographically.
-func (d *Dataset) liveDistinct2() []geom.Point {
-	pend := make([]geom.Point, 0, len(d.pending))
-	for _, p := range d.pending {
-		if d.counts[p] > 0 {
-			pend = append(pend, p)
-		}
+// gatherStrip collects the live distinct points with x in the (half-)open
+// strip, reading the sorted band plus the pending buffer, stopping once
+// the count exceeds limit (ok false: churn fallback).
+func (d *Dataset) gatherStrip(lox, hix float64, hasLo, hasHi bool, limit int) ([]geom.Point, bool) {
+	set := d.set2
+	var strip []geom.Point
+	i := 0
+	if hasLo {
+		i = searchX(set.band, lox)
 	}
-	geom.SortLex(pend)
-	out := make([]geom.Point, 0, d.distin)
-	i, k := 0, 0
-	for i < len(d.order) || k < len(pend) {
-		switch {
-		case i == len(d.order):
-			out = append(out, pend[k])
-			k++
-		case k == len(pend) || geom.LexLess(d.order[i], pend[k]):
-			if d.counts[d.order[i]] > 0 {
-				out = append(out, d.order[i])
+	for ; i < len(set.band); i++ {
+		p := set.band[i]
+		if hasHi && p.X > hix {
+			break
+		}
+		if set.counts[p] > 0 {
+			if strip = append(strip, p); len(strip) > limit {
+				return nil, false
 			}
-			i++
-		default:
-			out = append(out, pend[k])
-			k++
 		}
 	}
-	return out
-}
-
-// livePoints2 expands the live distinct points by multiplicity (the
-// snapshot multiset, sorted lexicographically).
-func (d *Dataset) livePoints2() []geom.Point {
-	out := make([]geom.Point, 0, d.liveN)
-	for _, p := range d.liveDistinct2() {
-		for c := d.counts[p]; c > 0; c-- {
-			out = append(out, p)
+	for _, p := range set.pending {
+		if set.counts[p] <= 0 || (hasLo && p.X < lox) || (hasHi && p.X > hix) {
+			continue
+		}
+		if strip = append(strip, p); len(strip) > limit {
+			return nil, false
 		}
 	}
-	return out
-}
-
-// housekeep2 runs post-commit maintenance: merge the pending buffer into
-// the sorted band past √n, and compact tombstones past 50% dead. Only on
-// committed state — never mid-batch — so it needs no undo.
-func (d *Dataset) housekeep2() {
-	total := len(d.order) + len(d.pending)
-	pendingCap := 64
-	if s := isqrt(total); s > pendingCap {
-		pendingCap = s
-	}
-	if len(d.pending) <= pendingCap && d.dead <= total/2 {
-		return
-	}
-	d.order = d.liveDistinct2()
-	d.pending = d.pending[:0]
-	d.dead = 0
-	for p, c := range d.counts {
-		if c == 0 {
-			delete(d.counts, p)
-		}
-	}
-}
-
-func isqrt(n int) int {
-	x := 0
-	for (x+1)*(x+1) <= n {
-		x++
-	}
-	return x
-}
-
-// diffChains diffs two canonical chains (both strictly x-increasing) into
-// added and removed vertex lists, each sorted.
-func diffChains(old, cur []geom.Point) (added, removed []geom.Point) {
-	i, k := 0, 0
-	for i < len(old) || k < len(cur) {
-		switch {
-		case i == len(old):
-			added = append(added, cur[k])
-			k++
-		case k == len(cur):
-			removed = append(removed, old[i])
-			i++
-		case old[i] == cur[k]:
-			i++
-			k++
-		case geom.LexLess(old[i], cur[k]):
-			removed = append(removed, old[i])
-			i++
-		default:
-			added = append(added, cur[k])
-			k++
-		}
-	}
-	return added, removed
+	return strip, true
 }

@@ -3,36 +3,48 @@
 // with a monotonically versioned hull maintained incrementally instead of
 // rebuilt from scratch per update.
 //
+// Both dimensions hold their live points in one generic core, liveSet
+// (liveset.go): a count map over a lex-sorted distinct band plus a small
+// unsorted pending tail — the bounded-workspace shape of De/Nandy/Roy's
+// read-only hull pass — with journaled add and remove, a sorted merge
+// that snapshots and rebuilds read, and the multiset hash. A
+// per-dimension dimSpec supplies only the sort, the comparison, the hash
+// fold, the finiteness check and the point format of error messages; the
+// hull algorithms read the core in place. Registration hashes its points
+// once and counts and sorts them once, and builds the first hull from the
+// sorted band.
+//
 // 2-d maintenance is monotone-chain insertion with tangent-splice repair:
 // an appended point binary-searches its x-position in the canonical upper
 // chain and, if it rises above the chain, splices in with Graham-style
 // pops to both tangent points — O(log h + pops) against the O(n log n)
 // rebuild every client pays today. Deleting a hull vertex triggers a
-// bounded local rebuild over the retained candidate band: the dataset
-// keeps all live points x-sorted (plus a small unsorted pending buffer,
-// the bounded-workspace shape of De/Nandy/Roy's read-only hull pass), so
-// the repair gathers only the strip between the deleted vertex's chain
-// neighbors — provably the only region the chain can change in — and
-// re-hulls it with the reference oracle. Past a churn threshold the
-// repair abandons the strip and falls back to a full native rebuild;
-// every fallback decision is logged and counted, never silent.
+// bounded local rebuild over the retained candidate band: the live points
+// are kept lex-sorted (plus the pending tail), so the repair gathers only
+// the strip between the deleted vertex's chain neighbors — provably the
+// only region the chain can change in — and re-hulls it with the
+// reference oracle. Past a churn threshold the repair abandons the strip
+// and falls back to a full native rebuild; every fallback decision is
+// logged and counted, never silent.
 //
-// 3-d maintenance replays mutations through the native upper-hull
-// builder via native.Hull3DFrom: the candidate set is the previous hull's
-// vertex set plus the appended points (their convex hull equals the full
-// hull, the invariant Hull3DFrom requires), so insertion work shrinks
-// from n to h+k; deleting a hull vertex forces a full replay, counted as
-// a fallback. Cap assignment and the CheckCaps3D oracle still run over
-// the full live set — 3-d commits stay O(n), with the incremental win
-// confined to the builder.
+// 3-d maintenance replays mutations through the native upper-hull builder
+// via native.Hull3DFrom: the candidate set is the previous hull's vertex
+// set plus the points an append makes live (their convex hull equals the
+// full hull, the invariant Hull3DFrom requires), so insertion work shrinks from n to
+// h+k; deleting a hull vertex forces a full replay, counted as a
+// fallback. Cap assignment and the CheckCaps3D oracle still run over the
+// full live set — 3-d commits stay O(n), with the incremental win
+// confined to the builder. Snapshots of both dimensions list the live
+// multiset in lex order.
 //
 // Every committed version carries a content hash (an incrementally
-// updatable hullhash.Multiset sum, O(k) per mutation batch), so the
-// serving layer invalidates or patches cache entries by hash rather than
-// recomputing. Subscribers get hull-delta notifications — added/removed
-// hull vertices, version, hash — over buffered channels that the SSE and
-// long-poll endpoints of cmd/hullserve drain; a slow subscriber is never
-// blocked on, it observes a version gap and resyncs.
+// updatable hullhash.Multiset sum, O(k) per mutation batch, unwound with
+// the batch on rollback), so the serving layer invalidates or patches
+// cache entries by hash rather than recomputing. Subscribers get
+// hull-delta notifications — added/removed hull vertices, version, hash —
+// over buffered channels that the SSE and long-poll endpoints of
+// cmd/hullserve drain; a slow subscriber is never blocked on, it observes
+// a version gap and resyncs.
 //
 // Failure semantics extend the E14/E19 contract — correct hull or typed
 // error, never silently wrong — to mutable state: the fault sites
@@ -73,28 +85,27 @@ type Config struct {
 	// 256 and 0.125.
 	MinChurn  int
 	ChurnFrac float64
-	// History is how many hull deltas each dataset retains for
-	// since-version catch-up (default 128). A subscriber further behind
-	// resyncs from a full snapshot.
-	History int
 	// Logf receives fallback-decision log lines (nil discards).
 	Logf func(format string, args ...any)
 }
 
-func (c Config) minChurn() int { return defInt(c.MinChurn, 256) }
+func (c Config) minChurn() int {
+	if c.MinChurn <= 0 {
+		return 256
+	}
+	return c.MinChurn
+}
 func (c Config) churnFrac() float64 {
 	if c.ChurnFrac <= 0 {
 		return 0.125
 	}
 	return c.ChurnFrac
 }
-func (c Config) history() int { return defInt(c.History, 128) }
-func defInt(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
+
+// historyLen is how many hull deltas each dataset retains for
+// since-version catch-up; a subscriber further behind resyncs from a
+// full snapshot.
+const historyLen = 128
 
 func (c Config) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -143,8 +154,9 @@ type Snapshot2 struct {
 	Hash    hullhash.Sum
 }
 
-// Snapshot3 is the 3-d twin: the live multiset in retained order and the
-// cap structure aligned with it (FacetOf[i] caps Points[i]).
+// Snapshot3 is the 3-d twin: the live point multiset sorted
+// lexicographically, like Snapshot2's, and the cap structure aligned
+// with it (FacetOf[i] caps Points[i]).
 type Snapshot3 struct {
 	Points  []geom.Point3
 	Res     unsorted.Result3D
@@ -191,37 +203,22 @@ type Dataset struct {
 	closed bool
 
 	version uint64
-	ms      hullhash.Multiset
 	hash    hullhash.Sum
 	history []Delta
 	subs    map[int]*Sub
 	nextSub int
 
-	// 2-d state: counts is the live multiset (zero-valued entries are
-	// tombstones still present in order/pending); order holds the
-	// distinct points sorted lexicographically, pending the unsorted
-	// not-yet-merged tail; chain is the canonical upper chain,
-	// immutable once committed.
-	counts  map[geom.Point]int
-	order   []geom.Point
-	pending []geom.Point
-	dead    int
-	liveN   int // multiplicity-weighted live count
-	distin  int // distinct live count
-	chain   []geom.Point
-
-	// 3-d state: counts3/all3 mirror counts/order (all3 is first-seen
-	// order, not sorted); snap3+res3 are the last committed cap
-	// structure; verts3 the sorted hull vertex set; hullV3 its set form.
-	counts3 map[geom.Point3]int
-	all3    []geom.Point3
-	dead3   int
-	liveN3  int
-	distin3 int
-	snap3   []geom.Point3
-	res3    unsorted.Result3D
-	verts3  []geom.Point3
-	hullV3  map[geom.Point3]bool
+	// The live point multiset of a 2-d (set2) or 3-d (set3) dataset; the
+	// other is nil. chain is the canonical upper chain, immutable once
+	// committed. snap3+res3 are the last committed 3-d cap structure,
+	// verts3 its sorted hull vertex set and hullV3 that set's map form.
+	set2   *liveSet[geom.Point]
+	chain  []geom.Point
+	set3   *liveSet[geom.Point3]
+	snap3  []geom.Point3
+	res3   unsorted.Result3D
+	verts3 []geom.Point3
+	hullV3 map[geom.Point3]bool
 }
 
 // Name returns the dataset name.
@@ -277,7 +274,7 @@ func (d *Dataset) Snapshot2() (Snapshot2, error) {
 		return Snapshot2{}, err
 	}
 	return Snapshot2{
-		Points:  d.livePoints2(),
+		Points:  d.set2.live(true),
 		Chain:   d.chain,
 		Version: d.version,
 		Hash:    d.hash,
@@ -335,35 +332,60 @@ func (d *Dataset) Subscribe() *Sub {
 	return s
 }
 
-// commit finalizes a successful mutation under d.mu: bump version, update
-// the incremental hash, record history, notify subscribers.
-func (d *Dataset) commit(delta Delta, add2, del2 []geom.Point, add3, del3 []geom.Point3) Delta {
-	for _, p := range add2 {
-		d.ms.Add2(p)
-	}
-	for _, p := range del2 {
-		d.ms.Remove2(p)
-	}
-	for _, p := range add3 {
-		d.ms.Add3(p)
-	}
-	for _, p := range del3 {
-		d.ms.Remove3(p)
-	}
+// commit finalizes a successful mutation under d.mu: bump version, take
+// the content hash sum, record history, count the batch, notify
+// subscribers.
+func (d *Dataset) commit(delta Delta, sum hullhash.Sum, added, removed int) Delta {
 	d.version++
 	delta.Name, delta.Dim = d.name, d.dim
 	delta.PrevHash = d.hash
-	d.hash = d.ms.Sum()
+	d.hash = sum
 	delta.Version, delta.Hash = d.version, d.hash
 	d.history = append(d.history, delta)
-	if h := d.cfg.history(); len(d.history) > h {
-		d.history = append(d.history[:0], d.history[len(d.history)-h:]...)
+	if len(d.history) > historyLen {
+		d.history = append(d.history[:0], d.history[len(d.history)-historyLen:]...)
+	}
+	if added > 0 {
+		d.cfg.count("appends_total", 1)
+		d.cfg.count("points_added_total", int64(added))
+	}
+	if removed > 0 {
+		d.cfg.count("deletes_total", 1)
+		d.cfg.count("points_removed_total", int64(removed))
 	}
 	d.notify(delta)
 	if d.store != nil {
 		d.store.fanout(delta)
 	}
 	return delta
+}
+
+// noop is the answer to an empty mutation batch: the current version,
+// unchanged.
+func (d *Dataset) noop() Delta {
+	return Delta{Name: d.name, Dim: d.dim, Version: d.version, Hash: d.hash, PrevHash: d.hash}
+}
+
+// fallback counts a mutation degraded to a full rebuild and consults the
+// StreamRebuild site: a poisoned rebuild unwinds the batch (rollback)
+// and fails typed, leaving the dataset at its previous version, hull and
+// hash.
+func (d *Dataset) fallback(rollback func(), op, reason string) error {
+	d.cfg.count("fallbacks_total", 1)
+	if !d.cfg.Injector.Hit(fault.StreamRebuild) {
+		return nil
+	}
+	d.cfg.logf("stream %s: %s rolled back at v%d (injected rebuild failure after %s)",
+		d.name, op, d.version, reason)
+	return d.abort(rollback, hullerr.New(hullerr.BudgetExhausted, op,
+		"injected rebuild failure on dataset %q; mutation rolled back", d.name))
+}
+
+// abort unwinds a batch whose rebuild failed and passes err on.
+func (d *Dataset) abort(rollback func(), err error) error {
+	rollback()
+	d.cfg.count("rollbacks_total", 1)
+	return err
 }
 
 // notify fans the delta out without ever blocking on a subscriber.
@@ -378,19 +400,6 @@ func (d *Dataset) notify(delta Delta) {
 	}
 }
 
-// journal is the undo log of one mutation batch: membership changes are
-// recorded as they apply, and a typed rebuild failure unwinds them in
-// reverse so the dataset lands exactly on its previous version.
-type journal struct{ undo []func() }
-
-func (j *journal) add(fn func()) { j.undo = append(j.undo, fn) }
-
-func (j *journal) rollback() {
-	for i := len(j.undo) - 1; i >= 0; i-- {
-		j.undo[i]()
-	}
-}
-
 // span opens a named phase span on the config sink (nil-safe).
 func (c Config) span(name string) func() {
 	if c.Sink == nil {
@@ -398,6 +407,19 @@ func (c Config) span(name string) func() {
 	}
 	c.Sink.SpanOpenEvent(name, pram.Snapshot{})
 	return func() { c.Sink.SpanCloseEvent(name, pram.Snapshot{}) }
+}
+
+// spanIf opens the named span only when on is set; the returned func
+// charges items to it and closes it.
+func (c Config) spanIf(on bool, name string) func(items int) {
+	if !on {
+		return func(int) {}
+	}
+	end := c.span(name)
+	return func(items int) {
+		c.charge(items)
+		end()
+	}
 }
 
 // charge charges an item count to the open span (nil-safe).
@@ -473,56 +495,38 @@ func (s *Store) Names() []string {
 // dataset; different content is a typed error — Delete first. After a
 // Delete the name registers fresh.
 func (s *Store) Register2(name string, pts []geom.Point) (*Dataset, Delta, error) {
-	const op = "stream.Register2"
-	if err := hullerr.CheckFinite2D(op, pts); err != nil {
-		return nil, Delta{}, err
-	}
-	// probe is a throwaway multiset: the dataset's own hash accrues via
-	// commit, so registration content is compared, never double-hashed.
-	probe := hullhash.NewMultiset2()
-	for _, p := range pts {
-		probe.Add2(p)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.ds[name]; ok {
-		oldV, oldH := old.Version()
-		if old.Dim() == 2 && oldH == probe.Sum() && oldV == 1 {
-			return old, old.lastDelta(), nil
-		}
-		return nil, Delta{}, hullerr.New(hullerr.InvalidInput, op,
-			"dataset %q already registered with different content; delete it first", name)
-	}
-	d, delta, err := newDataset2(name, s.cfg, pts)
-	if err != nil {
-		return nil, Delta{}, err
-	}
-	d.store = s
-	s.ds[name] = d
-	return d, delta, nil
+	return register(s, spec2, "stream.Register2", name, pts, (*Dataset).init2)
 }
 
 // Register3 is Register2 for 3-d datasets.
 func (s *Store) Register3(name string, pts []geom.Point3) (*Dataset, Delta, error) {
-	const op = "stream.Register3"
-	if err := hullerr.CheckFinite3D(op, pts); err != nil {
+	return register(s, spec3, "stream.Register3", name, pts, (*Dataset).init3)
+}
+
+// register is Register2 and Register3: it hashes pts once — the
+// idempotency probe becomes the new dataset's content hash — and counts
+// and sorts them once into the live set that init builds the first hull
+// from and commits.
+func register[P comparable](s *Store, sp *dimSpec[P], op, name string, pts []P, init func(*Dataset, *liveSet[P]) (Delta, error)) (*Dataset, Delta, error) {
+	if err := sp.finite(op, pts); err != nil {
 		return nil, Delta{}, err
 	}
-	probe := hullhash.NewMultiset3()
+	ms := sp.multiset()
 	for _, p := range pts {
-		probe.Add3(p)
+		sp.fold(&ms, p)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.ds[name]; ok {
 		oldV, oldH := old.Version()
-		if old.Dim() == 3 && oldH == probe.Sum() && oldV == 1 {
+		if old.Dim() == sp.dim && oldH == ms.Sum() && oldV == 1 {
 			return old, old.lastDelta(), nil
 		}
 		return nil, Delta{}, hullerr.New(hullerr.InvalidInput, op,
 			"dataset %q already registered with different content; delete it first", name)
 	}
-	d, delta, err := newDataset3(name, s.cfg, pts)
+	d := &Dataset{name: name, dim: sp.dim, cfg: s.cfg, subs: make(map[int]*Sub)}
+	delta, err := init(d, newLiveSet(sp, pts, ms))
 	if err != nil {
 		return nil, Delta{}, err
 	}
@@ -567,10 +571,4 @@ func (s *Store) Delete(name string) (Delta, bool) {
 	d.subs = map[int]*Sub{}
 	s.fanout(tomb)
 	return tomb, true
-}
-
-// fallbackErr is the typed outcome of a poisoned rebuild.
-func fallbackErr(op, name string) error {
-	return hullerr.New(hullerr.BudgetExhausted, op,
-		"injected rebuild failure on dataset %q; mutation rolled back", name)
 }
