@@ -65,10 +65,7 @@ func TestBruteFacetDegenerateProblem(t *testing.T) {
 		{X: 9, Y: 9, Z: 9}, // different problem
 	}
 	probNum := []int64{3, 3, 3, 3, 4}
-	sol, err := bruteFacet(rng.New(1), pts, probNum, 3, pts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := bruteFacet(rng.New(1), pts, probNum, 3, pts[0])
 	for i := 0; i < 4; i++ {
 		if sol.Violates(pts[i]) {
 			t.Fatalf("coplanar member above its cap")

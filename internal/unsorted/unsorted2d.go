@@ -39,7 +39,6 @@ import (
 	"inplacehull/internal/pram"
 	"inplacehull/internal/presorted"
 	"inplacehull/internal/rng"
-	"inplacehull/internal/sweep"
 )
 
 // Result2D is the output of the unsorted 2-d hull algorithm.
@@ -89,13 +88,10 @@ type Options struct {
 	FallbackThreshold int
 	// MaxK caps the base-problem parameter k = s^(1/3). Default 24.
 	MaxK int
-	// VoteRounds is the retry budget of each splitter vote (the O(1)-round
-	// doubling escalation of Corollary 3.1). Default 8.
-	VoteRounds int
 	// BudgetScale multiplies every surrender budget — the recursion-level
-	// cap and VoteRounds — without changing the algorithm's randomness.
-	// The resilient supervisor escalates it exponentially across reseeded
-	// attempts (§7.3 recovery semantics). Default 1.
+	// cap and the vote's retry rounds — without changing the algorithm's
+	// randomness. The resilient supervisor escalates it exponentially
+	// across reseeded attempts (§7.3 recovery semantics). Default 1.
 	BudgetScale float64
 }
 
@@ -112,34 +108,14 @@ func (o *Options) fill(n int) {
 	if o.MaxK <= 0 {
 		o.MaxK = 24
 	}
-	if o.VoteRounds <= 0 {
-		o.VoteRounds = 8
-	}
 	if o.BudgetScale < 1 {
 		o.BudgetScale = 1
 	}
 }
 
-// scaleBudget applies a BudgetScale multiplier to an integer budget,
-// saturating instead of overflowing.
-func scaleBudget(budget int, scale float64) int {
-	s := scale * float64(budget)
-	if s > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(s)
-}
-
 // Hull2D computes the upper hull of unsorted points with default options.
 func Hull2D(m *pram.Machine, rnd *rng.Stream, pts []geom.Point) (Result2D, error) {
 	return Hull2DOpts(m, rnd, pts, Options{})
-}
-
-// problem is the host-side bookkeeping record for one live subproblem. The
-// points themselves never move; only their problem numbers change.
-type problem struct {
-	num  int64 // the paper's j (1-based, children 2j−1+1… see renumber)
-	live int   // live-point count
 }
 
 // Hull2DOpts computes the upper hull of unsorted points per §4.1.
@@ -169,11 +145,24 @@ func Hull2DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, opt Options)
 	m.StepAll(n, func(p int) { probNum[p] = 1 })
 
 	problems := []problem{{num: 1, live: n}}
-	edgesFound := 0
 	var edgeList []geom.Edge
 
 	maxLevels := scaleBudget(16*int(math.Ceil(math.Log2(float64(n+1))))+16, opt.BudgetScale)
-	voteRounds := scaleBudget(opt.VoteRounds, opt.BudgetScale)
+	rounds := scaleBudget(voteRounds, opt.BudgetScale)
+	spec := levelSpec[geom.Point, lp.Problem2D, lp.Solution2D]{
+		root: math.Cbrt, maxK: opt.MaxK, span: "bridge-lp", stride: 3,
+		problem: func(s geom.Point, k, live int) lp.Problem2D {
+			return lp.Problem2D{Splitter: s, K: k, MLive: live}
+		},
+		batch: lp.BatchBridge2D,
+		// The exact bridge over the problem's live points.
+		brute: func(_, _ int, num int64, splitter geom.Point) lp.Solution2D {
+			_, member := members(pts, probNum, num)
+			sort.Slice(member, func(a, b int) bool { return geom.LexLess(member[a], member[b]) })
+			u, w := bruteCap(member, splitter)
+			return lp.Solution2D{U: u, W: w}
+		},
+	}
 	for level := 0; ; level++ {
 		if len(problems) == 0 {
 			break
@@ -183,77 +172,15 @@ func Hull2DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, opt Options)
 				"recursion exceeded %d levels", maxLevels)
 		}
 		res.Stats.Levels++
+		probID := startLevel(probNum, problems, &res.Stats.MaxProblemSize, &res.Stats.LiveTrace)
 
-		// Instrumentation: live counts and max subproblem size.
-		maxSz, liveTotal := 0, 0
-		for _, pr := range problems {
-			if pr.live > maxSz {
-				maxSz = pr.live
-			}
-			liveTotal += pr.live
-		}
-		res.Stats.MaxProblemSize = append(res.Stats.MaxProblemSize, maxSz)
-		res.Stats.LiveTrace = append(res.Stats.LiveTrace, liveTotal)
-
-		// Map problem number → batch index for this level.
-		idxOf := map[int64]int{}
-		for i, pr := range problems {
-			idxOf[pr.num] = i
-		}
-		probID := func(p int) int {
-			if probNum[p] == 0 {
-				return -1
-			}
-			if i, ok := idxOf[probNum[p]]; ok {
-				return i
-			}
-			return -1
-		}
-
-		// Step 1a: random vote per problem (Corollary 3.1): all problems
-		// vote simultaneously in one claimed work space.
-		endVote := obs.Span(m, "vote")
-		splitters, err := batchVote(m, rnd.Split(uint64(level)*3+1), n, len(problems), voteRounds, probID, func(i int) int { return problems[i].live })
-		endVote()
+		// Steps 1–2: splitter vote, in-place bridge finding and failure
+		// sweeping for every problem.
+		_, results, failures, err := solveLevel(m, rnd, level, pts, probID, problems, rounds, spec)
 		if err != nil {
 			return res, err
 		}
-
-		// Step 1b: in-place bridge finding for every problem (§3.3).
-		lps := make([]lp.Problem2D, len(problems))
-		for i, pr := range problems {
-			k := int(math.Cbrt(float64(pr.live))) + 1
-			if k > opt.MaxK {
-				k = opt.MaxK
-			}
-			lps[i] = lp.Problem2D{Splitter: pts[splitters[i]], K: k, MLive: pr.live}
-		}
-		endLP := obs.Span(m, "bridge-lp")
-		results := lp.BatchBridge2D(m, rnd.Split(uint64(level)*3+2), n, func(v int) geom.Point { return pts[v] }, probID, lps)
-		endLP()
-
-		// Step 2: failure sweeping for problems whose bridge timed out
-		// (§4.1 step 2: each failure gets its n^(3/4)-processor budget;
-		// the exact bridge is computed over the problem's live points).
-		endSweep := obs.Span(m, "sweep")
-		rep := sweep.Sweep(m, rnd.Split(uint64(level)*3+3), n, len(problems),
-			func(i int) bool { return !results[i].OK },
-			func(sub *pram.Machine, i int) {
-				num := problems[i].num
-				var member []geom.Point
-				for p := 0; p < n; p++ {
-					if probNum[p] == num {
-						member = append(member, pts[p])
-					}
-				}
-				sort.Slice(member, func(a, b int) bool { return geom.LexLess(member[a], member[b]) })
-				u, w := bruteCap(member, pts[splitters[i]])
-				results[i].Sol = lp.Solution2D{U: u, W: w}
-				results[i].OK = true
-				sub.Charge(1, int64(math.Ceil(math.Pow(float64(n), 0.75))))
-			})
-		endSweep()
-		res.Stats.BridgeFailures += rep.Failures
+		res.Stats.BridgeFailures += failures
 
 		endRenum := obs.Span(m, "renumber")
 		// Step 4 (the paper's numbering): renumber and kill. Dead points
@@ -297,34 +224,17 @@ func Hull2DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, opt Options)
 			return true
 		})
 
-		// Collect the found edges and rebuild the problem list. Live
-		// counts per child problem via one counting pass (host-side
-		// mirror of a prefix-sum step, charged as such).
+		// Collect the found edges and rebuild the problem list. Singleton
+		// problems drop out: their point is an anchor that already holds
+		// its edge, and it simply dies (one step on the array).
 		for i := range problems {
 			s := results[i].Sol
 			if !s.Degenerate() {
 				edgeList = append(edgeList, geom.Edge{U: s.U, W: s.W})
-				edgesFound++
 			}
 		}
-		counts := map[int64]int{}
-		m.Charge(int64(math.Ceil(math.Log2(float64(n+1)))), int64(n)) // prefix-sum charge
-		for p := 0; p < n; p++ {
-			if probNum[p] != 0 {
-				counts[probNum[p]]++
-			}
-		}
-		problems = problems[:0]
-		for num, c := range counts {
-			if c == 1 {
-				// Singleton problems: their point is an anchor that
-				// already holds its edge; it simply dies.
-				continue
-			}
-			problems = append(problems, problem{num: num, live: c})
-		}
-		sort.Slice(problems, func(a, b int) bool { return problems[a].num < problems[b].num })
-		// Kill singletons on the array (one step).
+		var counts map[int64]int
+		problems, counts = regroup(m, probNum, problems, 1)
 		m.Step(n, func(p int) bool {
 			if probNum[p] == 0 {
 				return false
@@ -341,7 +251,7 @@ func Hull2DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, opt Options)
 		if (level+1)%opt.PhaseIters == 0 && len(problems) > 0 {
 			res.Stats.Phases++
 			endPhase := obs.Span(m, "phase-compact")
-			l := edgesFound + len(problems)
+			l := len(edgeList) + len(problems)
 			if l >= opt.FallbackThreshold || fault.On(rnd).ForceFallbackAt(level) {
 				endPhase()
 				res.Stats.FellBack = true
@@ -377,77 +287,6 @@ func Hull2DOpts(m *pram.Machine, rnd *rng.Stream, pts []geom.Point, opt Options)
 	}
 
 	return assemble2D(pts, edgeList, edgeU, edgeW, hasEdge, res)
-}
-
-// batchVote runs the random vote of Corollary 3.1 for all problems
-// simultaneously: every live point claims a random cell of its problem's
-// 16k work space; each problem's winner is the occupant of its first
-// occupied cell. Retries with doubled write probability until every
-// problem has a vote (O(1) rounds whp; the write probability starts at 1
-// for small problems) or the rounds budget runs out (typed surrender).
-func batchVote(m *pram.Machine, rnd *rng.Stream, n, q, rounds int, probID func(int) int, liveOf func(int) int) ([]int, error) {
-	const kv = 4
-	space := 16 * kv
-	release := m.AllocScratch(int64(space * q))
-	defer release()
-	cells := make([]pram.ClaimCell, space*q)
-	votes := make([]int, q)
-	for i := range votes {
-		votes[i] = -1
-	}
-	inj := fault.On(rnd)
-	missing := q
-	for round := 0; round < rounds && missing > 0; round++ {
-		pram.ResetClaims(cells)
-		m.Charge(1, int64(space*q))
-		if inj.Hit(fault.VoteSkew) {
-			// Injected skewed vote round (Corollary 3.1 failure event):
-			// every claimed cell is contested, no problem elects a winner
-			// this round, and the retry escalation doubles the write
-			// probability. Eight consecutive skewed rounds exhaust the
-			// budget below.
-			m.Charge(3, int64(space*q)+int64(n))
-			continue
-		}
-		base := rnd.Split(uint64(round))
-		m.Step(n, func(p int) bool {
-			i := probID(p)
-			if i < 0 || votes[i] >= 0 {
-				return false
-			}
-			s := base.Split(uint64(p))
-			prob := 1.0
-			if round < 62 { // doubling saturates at probability 1 long before the shift overflows
-				prob = math.Min(1, float64(2*kv)/float64(liveOf(i))*float64(int64(1)<<uint(round)))
-			}
-			if !s.Bernoulli(prob) {
-				return true
-			}
-			cells[i*space+s.Intn(space)].Claim(int64(p))
-			return true
-		})
-		// First occupied cell per problem: Observation 2.1, O(1) steps.
-		m.Charge(2, int64(space*q))
-		for i := 0; i < q; i++ {
-			if votes[i] >= 0 {
-				continue
-			}
-			for c := i * space; c < (i+1)*space; c++ {
-				if o := cells[c].Owner(); o >= 0 && !cells[c].Contested() {
-					votes[i] = int(o)
-					missing--
-					break
-				}
-			}
-		}
-	}
-	for i, v := range votes {
-		if v < 0 {
-			return nil, hullerr.New(hullerr.BudgetExhausted, "unsorted2d.vote",
-				"problem %d failed to vote after %d rounds (live=%d)", i, rounds, liveOf(i))
-		}
-	}
-	return votes, nil
 }
 
 // bruteCap computes the hull edge (or vertex) above the splitter for a
