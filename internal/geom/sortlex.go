@@ -18,17 +18,28 @@ const insertionMax = 64
 // digits, one stable counting-scatter pass per digit, skipping any digit
 // every key shares); runs of equal x are then ordered by y the same way.
 // Input that is already sorted returns after one linear scan. The radix
-// path allocates one scratch copy of pts.
-func SortLex(pts []Point) {
+// path allocates one scratch copy of pts; SortLexBuf takes it from the
+// caller instead.
+func SortLex(pts []Point) { SortLexBuf(pts, nil) }
+
+// SortLexBuf is SortLex with caller-owned scratch. The radix path uses
+// buf[:len(pts)] when buf has the capacity, and a new slice otherwise;
+// SortLexBuf returns the scratch that is good for the next call (buf
+// itself, or the larger slice it allocated), so a caller that keeps it
+// allocates once per size class. buf's contents on return are undefined.
+func SortLexBuf(pts, buf []Point) []Point {
 	if sortedLex(pts) {
-		return
+		return buf
 	}
 	if len(pts) <= insertionMax {
 		insertionLex(pts)
-		return
+		return buf
 	}
-	buf := make([]Point, len(pts))
-	radixLex(pts, buf, false)
+	if cap(buf) < len(pts) {
+		buf = make([]Point, len(pts))
+	}
+	scratch := buf[:len(pts)]
+	radixLex(pts, scratch, false)
 	for lo := 0; lo < len(pts); {
 		hi := lo + 1
 		for hi < len(pts) && pts[hi].X == pts[lo].X {
@@ -36,12 +47,13 @@ func SortLex(pts []Point) {
 		}
 		switch {
 		case hi-lo > insertionMax:
-			radixLex(pts[lo:hi], buf[lo:hi], true)
+			radixLex(pts[lo:hi], scratch[lo:hi], true)
 		case hi-lo > 1:
 			insertionLex(pts[lo:hi])
 		}
 		lo = hi
 	}
+	return buf
 }
 
 // sortedLex reports whether s is already in LexLess order.

@@ -122,11 +122,46 @@ func FuzzSortLex(f *testing.F) {
 		pts := fuzzPoints(data, reps)
 		want := slices.Clone(pts)
 		slices.SortStableFunc(want, geom.LexCmp)
+		again := slices.Clone(pts)
 		geom.SortLex(pts)
 		if !bytes.Equal(rawPoints(pts...), rawPoints(want...)) {
 			t.Fatalf("SortLex disagrees with the stable LexLess sort\n got %v\nwant %v", pts, want)
 		}
+		// Scratch left dirty by another sort must not reach the answer.
+		geom.SortLexBuf(again, append(slices.Clone(want), want...))
+		if !bytes.Equal(rawPoints(again...), rawPoints(want...)) {
+			t.Fatalf("SortLexBuf disagrees with the stable LexLess sort\n got %v\nwant %v", again, want)
+		}
 	})
+}
+
+// TestSortLexBufReuse sorts inputs of several sizes through one scratch
+// slice: every sort matches SortLex, the scratch grows only when an
+// input outgrows it, and a sort that fits allocates nothing.
+func TestSortLexBufReuse(t *testing.T) {
+	var buf []geom.Point
+	for _, pts := range [][]geom.Point{
+		workload.Circle(1, 300), workload.Disk(2, 1000), workload.Circle(3, 40), workload.Disk(4, 700),
+	} {
+		want := slices.Clone(pts)
+		geom.SortLex(want)
+		before := cap(buf)
+		buf = geom.SortLexBuf(pts, buf)
+		if !slices.Equal(pts, want) {
+			t.Fatalf("n=%d: SortLexBuf disagrees with SortLex", len(pts))
+		}
+		if cap(buf) != max(before, len(pts)) {
+			t.Fatalf("n=%d: scratch capacity %d -> %d", len(pts), before, cap(buf))
+		}
+	}
+	circle := workload.Circle(5, 1000)
+	s := make([]geom.Point, len(circle))
+	if a := testing.AllocsPerRun(20, func() {
+		copy(s, circle)
+		buf = geom.SortLexBuf(s, buf)
+	}); a != 0 {
+		t.Fatalf("SortLexBuf with room in its scratch allocated %v times per sort", a)
+	}
 }
 
 // BenchmarkSortLex prices the 2-d point sort at the served request size

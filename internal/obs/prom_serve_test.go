@@ -47,3 +47,38 @@ func TestServeCountersExport(t *testing.T) {
 		t.Fatal("nil Metrics should read 0")
 	}
 }
+
+// TestServeGaugeExport: a serving-layer gauge holds its last value, not a
+// sum, and exports with TYPE gauge in name order among the counters.
+func TestServeGaugeExport(t *testing.T) {
+	x := NewMetrics()
+	x.ServeCounterAdd("cache_evictions_total", 2)
+	x.ServeCounterAdd("cache_hits_total", 1)
+	x.ServeGaugeSet("cache_bytes", 4096)
+	x.ServeGaugeSet("cache_bytes", 1024)
+	if got := x.ServeGauge("cache_bytes"); got != 1024 {
+		t.Fatalf("cache_bytes = %d, want the last value set, 1024", got)
+	}
+	var b strings.Builder
+	if err := x.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE inplacehull_serve_cache_bytes gauge",
+		"inplacehull_serve_cache_bytes 1024\n",
+		"# TYPE inplacehull_serve_cache_evictions_total counter",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Index(out, "serve_cache_bytes") > strings.Index(out, "serve_cache_evictions_total") {
+		t.Fatal("serve gauge not sorted among the counters")
+	}
+	var nilM *Metrics
+	nilM.ServeGaugeSet("x", 1)
+	if nilM.ServeGauge("x") != 0 {
+		t.Fatal("nil Metrics should read 0")
+	}
+}

@@ -453,13 +453,13 @@ func (s *Server) lookup(r *request, start time.Time) (Result, bool) {
 
 // remember is the cache fill every query path shares: the answer is
 // cached under the request key and, for a stream dataset, indexed under
-// the content it was computed over so a later commit evicts it.
+// the content it was computed over so a later commit evicts it. An
+// answer too large for the cache's byte budget is not cached or indexed.
 func (s *Server) remember(r *request, res Result) {
 	if s.cache == nil || r.q.NoCache {
 		return
 	}
-	s.cache.put(r.key, res)
-	if r.stream {
+	if s.cache.put(r.key, res) && r.stream {
 		s.indexStream(r.content, r.key)
 	}
 }
