@@ -110,3 +110,27 @@ func TestParallel2NoTokenLeak(t *testing.T) {
 		t.Fatalf("%d tokens leaked", len(tokens))
 	}
 }
+
+// BenchmarkParallel2 prices one fork at serving sizes: the wait from the
+// call until the forked side starts running (start-ns/op). The caller's
+// side stays busy until then, as the first half of a split scan would,
+// for at most a millisecond. With one processor the forked side cannot
+// start until the caller's side is done, and start-ns/op reads that
+// millisecond.
+func BenchmarkParallel2(b *testing.B) {
+	var wait time.Duration
+	for range b.N {
+		var started atomic.Bool
+		var at time.Duration
+		t0 := time.Now()
+		Parallel2(func() {
+			for !started.Load() && time.Since(t0) < time.Millisecond {
+			}
+		}, func() {
+			at = time.Since(t0)
+			started.Store(true)
+		})
+		wait += at
+	}
+	b.ReportMetric(float64(wait.Nanoseconds())/float64(b.N), "start-ns/op")
+}

@@ -37,15 +37,23 @@ type decimal struct {
 // number scans a number of the JSON grammar
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? into a decimal. The
 // caller skips whitespace first, so the number's bytes, for the strconv
-// fallbacks, run from where s.i was to where it is after.
-func (s *scanner) number() (decimal, bool) {
-	b, i := s.b, s.i
-	neg := i < len(b) && b[i] == '-'
+// fallbacks, run from where s.i was to where it is after. On failure s.i
+// is left anywhere: every caller gives the fast path up. (number is kept
+// small enough to inline into float, int and uint.)
+func (s *scanner) number() (d decimal, ok bool) {
+	d.mant, d.exp, d.neg, d.trunc, d.plain, s.i, ok = scanNumber(s.b, s.i)
+	return d, ok
+}
+
+// scanNumber is number on b[i:]: the fields of the decimal, and the
+// offset past the number. They come back apart, not as a decimal, so
+// they stay in registers.
+func scanNumber(b []byte, i int) (mant uint64, exp int, neg, trunc, plain bool, end int, ok bool) {
+	neg = i < len(b) && b[i] == '-'
 	if neg {
 		i++
 	}
-	var mant uint64
-	exp, nd, trunc := 0, 0, false // nd: significant digits kept in mant
+	nd := 0 // significant digits kept in mant
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
@@ -54,9 +62,9 @@ func (s *scanner) number() (decimal, bool) {
 		i, mant, nd, trunc = digits(b, i, 0, 0)
 		exp = i - j - nd // integer digits dropped
 	default:
-		return decimal{}, false
+		return
 	}
-	plain := true
+	plain = true
 	if i < len(b) && b[i] == '.' {
 		i++
 		j := i
@@ -68,7 +76,7 @@ func (s *scanner) number() (decimal, bool) {
 		kept, t := nd, false
 		i, mant, nd, t = digits(b, i, mant, nd)
 		if i == j {
-			return decimal{}, false
+			return
 		}
 		exp -= nd - kept
 		trunc = trunc || t
@@ -90,13 +98,12 @@ func (s *scanner) number() (decimal, bool) {
 			}
 		}
 		if i == j {
-			return decimal{}, false
+			return
 		}
 		exp += sign * e
 		plain = false
 	}
-	s.i = i
-	return decimal{mant: mant, exp: exp, neg: neg, trunc: trunc, plain: plain}, true
+	return mant, exp, neg, trunc, plain, i, true
 }
 
 // digits appends the decimal digits at b[i:] to mant, which holds nd

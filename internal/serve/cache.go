@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 	"unsafe"
 
@@ -20,10 +19,10 @@ import (
 const CacheBudget = 4 << 20
 
 // entryOverhead is the fixed cost of one cache entry: the lruEntry (the
-// Result stored by value and its key), the list element pointing at it
-// and the map slot pointing at the element.
-const entryOverhead = int64(unsafe.Sizeof(lruEntry{}) + unsafe.Sizeof(list.Element{}) +
-	unsafe.Sizeof(hullhash.Sum{}) + unsafe.Sizeof((*list.Element)(nil)))
+// Result stored by value, its key and its recency links) and the map
+// slot pointing at it.
+const entryOverhead = int64(unsafe.Sizeof(lruEntry{}) + unsafe.Sizeof(hullhash.Sum{}) +
+	unsafe.Sizeof((*lruEntry)(nil)))
 
 // cost is the bytes an entry holding res keeps live: the fixed overhead
 // plus the chain's vertices. (Cached answers carry no Missing list: a
@@ -42,24 +41,72 @@ func cost(res Result) int64 {
 type lruCache struct {
 	mu      sync.Mutex
 	max     int
-	bytes   int64      // summed cost of the entries
-	order   *list.List // front = most recent
-	entries map[hullhash.Sum]*list.Element
+	bytes   int64   // summed cost of the entries
+	order   lruList // front = most recent
+	entries map[hullhash.Sum]*lruEntry
 	onEvict func()
 	onBytes func(int64) // called with the new byte count, under mu
 }
 
+// lruEntry is one cached answer and its links in the recency list, one
+// allocation per entry. Value points back at the entry itself, so a walk
+// of the list reads entries as a container/list walk does.
 type lruEntry struct {
-	key  hullhash.Sum
-	res  Result
-	cost int64
+	key        hullhash.Sum
+	res        Result
+	cost       int64
+	prev, next *lruEntry
+	Value      any
+}
+
+// Next returns the next entry toward the cold end, or nil.
+func (e *lruEntry) Next() *lruEntry { return e.next }
+
+// lruList is a doubly linked list of entries, front = most recent.
+type lruList struct {
+	front, back *lruEntry
+	n           int
+}
+
+func (l *lruList) Len() int         { return l.n }
+func (l *lruList) Front() *lruEntry { return l.front }
+func (l *lruList) pushFront(e *lruEntry) {
+	e.prev, e.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
+	l.n++
+}
+
+func (l *lruList) remove(e *lruEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.n--
+}
+
+func (l *lruList) moveToFront(e *lruEntry) {
+	if l.front != e {
+		l.remove(e)
+		l.pushFront(e)
+	}
 }
 
 func newLRU(max int, onEvict func()) *lruCache {
 	return &lruCache{
 		max:     max,
-		order:   list.New(),
-		entries: make(map[hullhash.Sum]*list.Element, max),
+		entries: make(map[hullhash.Sum]*lruEntry, max),
 		onEvict: onEvict,
 	}
 }
@@ -68,12 +115,12 @@ func newLRU(max int, onEvict func()) *lruCache {
 func (c *lruCache) get(key hullhash.Sum) (Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	e, ok := c.entries[key]
 	if !ok {
 		return Result{}, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	c.order.moveToFront(e)
+	return e.res, true
 }
 
 // put inserts (or refreshes) key, evicting from the cold end until both
@@ -86,17 +133,19 @@ func (c *lruCache) put(key hullhash.Sum, res Result) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*lruEntry)
+	if e, ok := c.entries[key]; ok {
 		c.bytes += n - e.cost
 		e.res, e.cost = res, n
-		c.order.MoveToFront(el)
+		c.order.moveToFront(e)
 	} else {
-		c.entries[key] = c.order.PushFront(&lruEntry{key: key, res: res, cost: n})
+		e := &lruEntry{key: key, res: res, cost: n}
+		e.Value = e
+		c.order.pushFront(e)
+		c.entries[key] = e
 		c.bytes += n
 	}
 	for c.order.Len() > c.max || c.bytes > CacheBudget {
-		c.drop(c.order.Back())
+		c.drop(c.order.back)
 		if c.onEvict != nil {
 			c.onEvict()
 		}
@@ -114,8 +163,8 @@ func (c *lruCache) remove(keys []hullhash.Sum) int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		if el, ok := c.entries[k]; ok {
-			c.drop(el)
+		if e, ok := c.entries[k]; ok {
+			c.drop(e)
 			n++
 		}
 	}
@@ -126,9 +175,8 @@ func (c *lruCache) remove(keys []hullhash.Sum) int {
 }
 
 // drop unlinks one entry and takes its cost off the byte count.
-func (c *lruCache) drop(el *list.Element) {
-	e := el.Value.(*lruEntry)
-	c.order.Remove(el)
+func (c *lruCache) drop(e *lruEntry) {
+	c.order.remove(e)
 	delete(c.entries, e.key)
 	c.bytes -= e.cost
 }

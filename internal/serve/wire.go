@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 
+	"inplacehull/internal/fork"
 	"inplacehull/internal/geom"
 )
 
@@ -26,7 +27,9 @@ import (
 // rejected) is decoded again from the same bytes by encoding/json, which
 // stays the definition of the accept set and of every error message. The scanner only ever answers "accepted, with
 // these values" or "not mine"; FuzzHTTPQuery checks it against the
-// reflective decoder.
+// reflective decoder. Points in the shape clients send go through a
+// fused loop, and the points array of a large body is scanned in two
+// parts, the second on the fork pool (DESIGN §8.1).
 
 // maxBodyBytes caps the request body of the hull and stream endpoints:
 // 8 MiB, 128 bytes per point of a 65 536-point 3-d PUT (17-digit
@@ -169,6 +172,10 @@ func decodePoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, erro
 // the scalar fields are in hq and the points in q.
 func scanHullQuery(body []byte, dim int, hq *httpQuery, q *Query) bool {
 	s := scanner{b: body}
+	return s.hullQuery(dim, hq, q)
+}
+
+func (s *scanner) hullQuery(dim int, hq *httpQuery, q *Query) bool {
 	// A repeated key overwrites, as encoding/json's last one wins.
 	return s.object(func(key []byte) bool {
 		ok := false
@@ -206,6 +213,10 @@ func scanHullQuery(body []byte, dim int, hq *httpQuery, q *Query) bool {
 // encoding/json; the final check sees the last "dim".
 func scanPoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, bool) {
 	s := scanner{b: body}
+	return s.pointsBody(want)
+}
+
+func (s *scanner) pointsBody(want int) ([]geom.Point, []geom.Point3, int, bool) {
 	var p2 []geom.Point
 	var p3 []geom.Point3
 	dimField, arity := 0, 0
@@ -247,9 +258,10 @@ func scanPoints(body []byte, want int) ([]geom.Point, []geom.Point3, int, bool) 
 // false for input outside the fast subset, which sends the body to
 // encoding/json.
 type scanner struct {
-	b   []byte
-	i   int
-	pow *pow10Table // loaded on the first number that needs it
+	b    []byte
+	i    int
+	from int         // where cutFor looks for a cut: 0 picks by body size, -1 never cuts
+	pow  *pow10Table // loaded on the first number that needs it
 }
 
 func (s *scanner) ws() {
@@ -391,7 +403,8 @@ func (s *scanner) bool() (bool, bool) {
 // points scans an array of dim-coordinate points into a slice sized from
 // a count of the brackets ahead (bounded by the bytes a point needs, so
 // a body of brackets cannot inflate it). An empty array yields nil, as
-// the reflective path's appends do.
+// the reflective path's appends do. A body over splitBytes is scanned in
+// two parts, the second on the fork pool (split).
 func (s *scanner) points(dim int) ([]geom.Point, []geom.Point3, bool) {
 	if !s.eat('[') {
 		return nil, nil, false
@@ -399,43 +412,235 @@ func (s *scanner) points(dim int) ([]geom.Point, []geom.Point3, bool) {
 	if s.eat(']') {
 		return nil, nil, true
 	}
-	rest := s.b[s.i:]
-	n := min(bytes.Count(rest, []byte{'['}), len(rest)/(2*dim)+1)
-	var p2 []geom.Point
-	var p3 []geom.Point3
-	if dim == 3 {
-		p3 = make([]geom.Point3, 0, n)
+	start := s.i
+	bound := (len(s.b)-start)/(2*dim) + 1
+	cut, head := s.cutFor(start), 0
+	var n int
+	if cut > start {
+		head = bytes.Count(s.b[start:cut], []byte{'['})
+		n = min(head+bytes.Count(s.b[cut:], []byte{'['}), bound)
 	} else {
-		p2 = make([]geom.Point, 0, n)
+		n = min(bytes.Count(s.b[start:], []byte{'['}), bound)
 	}
+	pb := makePointBuf(dim, n)
+	var ok bool
+	if cut > start && head < n {
+		ok = s.split(dim, &pb, cut, head)
+	} else {
+		_, ok = s.run(dim, &pb, -1)
+	}
+	if !ok {
+		return nil, nil, false
+	}
+	return pb.p2, pb.p3, true
+}
+
+// splitBytes is the body size above which points scans the second half
+// of its array on the fork pool. Below it, the wait for the forked side
+// to start (BenchmarkParallel2) costs more than the half-scan it takes
+// off the caller: the crossover measured at GOMAXPROCS=2 is in DESIGN
+// §8.1. A 4 096-point 2-d body (~170 KB) is over it, a 1 024-point one
+// under it.
+const splitBytes = 64 << 10
+
+// cutFor returns where points cuts the array that starts at start: the
+// first '[' after the body's midpoint, or after s.from when that is set;
+// -1 for no cut, when s.from is negative or the body is at most
+// splitBytes.
+func (s *scanner) cutFor(start int) int {
+	from := s.from
+	switch {
+	case from < 0:
+		return -1
+	case from == 0:
+		if len(s.b) <= splitBytes {
+			return -1
+		}
+		from = len(s.b) / 2
+	}
+	from = max(from, start+1)
+	if from >= len(s.b) {
+		return -1
+	}
+	if j := bytes.IndexByte(s.b[from:], '['); j >= 0 {
+		return from + j
+	}
+	return -1
+}
+
+// split scans the array from s.i into pb, the part from cut on on a
+// forked side: the caller scans up to cut into pb's first head slots, a
+// second scanner from cut to the array's end into the rest. head is the
+// count of '[' before cut, one per point when the cut sits on a point
+// boundary, so each side appends into its own slots, and an append past
+// them reallocates instead of reaching the other side's. The forked part
+// counts only when the caller's scan stops exactly on the cut, before a
+// point; otherwise the caller scanned on past it, or met the array's end
+// first, and its sequential result stands. When the forked side did not
+// take the rest of the array, the caller scans it again from the cut.
+func (s *scanner) split(dim int, pb *pointBuf, cut, head int) bool {
+	first, second := pb.part(0, head), pb.part(head, pb.cap())
+	t := scanner{b: s.b, i: cut}
+	var closed, ok, tClosed, tOK bool
+	fork.Parallel2(func() {
+		closed, ok = s.run(dim, &first, cut)
+	}, func() {
+		tClosed, tOK = t.run(dim, &second, -1)
+	})
+	switch {
+	case !ok:
+		return false
+	case closed:
+		*pb = first
+		return true
+	case first.len() == head && tOK && tClosed && second.len() <= pb.cap()-head:
+		s.i = t.i
+		pb.resize(head + second.len())
+		return true
+	}
+	_, ok = s.run(dim, &first, -1)
+	*pb = first
+	return ok
+}
+
+// run scans points from s.i, which sits before a point, into pb: the
+// fused loop, and the general one for each point the fused loop stops
+// short of. It returns closed after the array's closing ']', or not
+// closed when it reaches a point that starts at offset stop (-1 for
+// none). ok false is input outside the fast subset.
+func (s *scanner) run(dim int, pb *pointBuf, stop int) (closed, ok bool) {
 	var c [3]float64
 	for {
+		if s.fused(dim, pb, stop) {
+			return true, true
+		}
+		if s.i == stop {
+			return false, true
+		}
 		if !s.eat('[') {
-			return nil, nil, false
+			return false, false
 		}
 		for k := 0; k < dim; k++ {
 			if k > 0 && !s.eat(',') {
-				return nil, nil, false
+				return false, false
 			}
 			var ok bool
 			if c[k], ok = s.float(); !ok {
-				return nil, nil, false
+				return false, false
 			}
 		}
 		if !s.eat(']') {
-			return nil, nil, false
+			return false, false
 		}
-		if dim == 3 {
-			p3 = append(p3, geom.Point3{X: c[0], Y: c[1], Z: c[2]})
-		} else {
-			p2 = append(p2, geom.Point{X: c[0], Y: c[1]})
-		}
+		pb.add(dim, &c)
 		if s.eat(']') {
-			return p2, p3, true
+			return true, true
 		}
 		if !s.eat(',') {
-			return nil, nil, false
+			return false, false
 		}
+	}
+}
+
+// fused is the scan-speed loop for the body shape clients send: points
+// "[x,y]" or "[x,y,z]", each followed at once by ',' or the array's
+// closing ']', with no whitespace, and numbers with no nonzero
+// significant digit past the 19th, converted where they lie (coord). It
+// consumes whole points and returns true after the closing ']', or false
+// on the '[' of the first point it cannot take or of a point at offset
+// stop.
+func (s *scanner) fused(dim int, pb *pointBuf, stop int) bool {
+	b, i, pow, out := s.b, s.i, s.pow, *pb
+	var c [3]float64
+	closed := false
+loop:
+	for i != stop && i < len(b) && b[i] == '[' {
+		j := i + 1
+		for k := 0; k < dim; k++ {
+			sep := byte(',')
+			if k == dim-1 {
+				sep = ']'
+			}
+			f, e, ok := coord(b, j, &pow)
+			if !ok || e >= len(b) || b[e] != sep {
+				break loop
+			}
+			c[k] = f
+			j = e + 1
+		}
+		if j >= len(b) || b[j] != ',' && b[j] != ']' {
+			break
+		}
+		out.add(dim, &c)
+		i = j + 1
+		if b[j] == ']' {
+			closed = true
+			break
+		}
+	}
+	s.i, s.pow, *pb = i, pow, out
+	return closed
+}
+
+// coord converts the number at b[i:] for the fused loop, when it has no
+// nonzero significant digit past the 19th, by Clinger's fast path or
+// Eisel–Lemire, loading the table into *pow on first need; it returns
+// the offset past the number. ok false leaves the number to the general
+// loop, which also takes the ones those two steps cannot decide.
+func coord(b []byte, i int, pow **pow10Table) (float64, int, bool) {
+	mant, exp, neg, trunc, _, i, ok := scanNumber(b, i)
+	if !ok || trunc {
+		return 0, i, false
+	}
+	if f, ok := clinger(mant, exp, neg); ok {
+		return f, i, true
+	}
+	if *pow == nil {
+		*pow = pow10s()
+	}
+	f, ok := eiselLemire(*pow, mant, exp, neg)
+	return f, i, ok
+}
+
+// pointBuf holds the points of one array, or of one part of it: p2 or
+// p3, by the dimension.
+type pointBuf struct {
+	p2 []geom.Point
+	p3 []geom.Point3
+}
+
+func makePointBuf(dim, n int) pointBuf {
+	if dim == 3 {
+		return pointBuf{p3: make([]geom.Point3, 0, n)}
+	}
+	return pointBuf{p2: make([]geom.Point, 0, n)}
+}
+
+func (pb *pointBuf) len() int { return len(pb.p2) + len(pb.p3) }
+func (pb *pointBuf) cap() int { return cap(pb.p2) + cap(pb.p3) }
+
+func (pb *pointBuf) add(dim int, c *[3]float64) {
+	if dim == 3 {
+		pb.p3 = append(pb.p3, geom.Point3{X: c[0], Y: c[1], Z: c[2]})
+	} else {
+		pb.p2 = append(pb.p2, geom.Point{X: c[0], Y: c[1]})
+	}
+}
+
+// part returns an empty buffer over pb's slots [lo, hi).
+func (pb *pointBuf) part(lo, hi int) pointBuf {
+	if pb.p3 != nil {
+		return pointBuf{p3: pb.p3[lo:lo:hi]}
+	}
+	return pointBuf{p2: pb.p2[lo:lo:hi]}
+}
+
+// resize sets pb's length to n, within its capacity.
+func (pb *pointBuf) resize(n int) {
+	if pb.p3 != nil {
+		pb.p3 = pb.p3[:n]
+	} else {
+		pb.p2 = pb.p2[:n]
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -181,6 +182,32 @@ func wireSeeds() []string {
 		`{"points":[[1,2]],"dim":3}`, `{"dim":4}`, `{"dim":-2,"points":[[1,2]]}`,
 		`{"points":[[1,2,3,4]]}`, `{"points":[[1,2],[1,2,3]]}`, `{"dim":2.5}`,
 	}
+	return append(seeds, handoffSeeds()...)
+}
+
+// handoffSeeds are bodies that change shape at their eighth point:
+// whitespace, a mantissa past 19 digits, an out-of-range number or a
+// wrong arity hand it from the fused loop to the general one in the
+// middle of the array, and exponents and 20-digit zero tails stay in the
+// fused loop. A cut can fall before, on or after that point.
+func handoffSeeds() []string {
+	var seeds []string
+	for _, odd := range []string{"[ 0.25,0.5]", "[0.25,0.5] ", "[0.25,\n0.5]", "[2.5e-1,0.5]",
+		"[0.25,5E-1]", "[0.12345678901234567891,0.5]", "[0.12345678901234567890,0.5]",
+		"[12345678901234567891234,-0.5]", "[-0,0.5]", "[1e400,0]", "[0.5]", "[0.5,0.25,1,2]"} {
+		for dim, pts := range map[int][][]float64{2: coords2(workload.Disk(7, 12)), 3: coords3(workload.Ball(8, 12))} {
+			elems := make([]string, len(pts))
+			for i, p := range pts {
+				b, _ := json.Marshal(p)
+				elems[i] = string(b)
+			}
+			elems[7] = odd
+			if dim == 3 {
+				elems[7] = strings.Replace(odd, "]", ",0.75]", 1)
+			}
+			seeds = append(seeds, `{"points":[`+strings.Join(elems, ",")+`],"seed":5}`)
+		}
+	}
 	return seeds
 }
 
@@ -190,10 +217,10 @@ func wireSeeds() []string {
 // bodies (registration and mutation).
 func FuzzHTTPQuery(f *testing.F) {
 	for _, s := range wireSeeds() {
-		f.Add([]byte(s), uint8(2))
-		f.Add([]byte(s), uint8(3))
+		f.Add([]byte(s), uint8(2), uint16(len(s)/2))
+		f.Add([]byte(s), uint8(3), uint16(len(s)/3))
 	}
-	f.Fuzz(func(t *testing.T, body []byte, d uint8) {
+	f.Fuzz(func(t *testing.T, body []byte, d uint8, cut uint16) {
 		dim := 2 + int(d%2)
 		q, dl, err := decodeHullQuery(body, dim)
 		rq, rdl, rerr := referenceHullQuery(body, dim)
@@ -217,7 +244,47 @@ func FuzzHTTPQuery(f *testing.F) {
 				}
 			}
 		}
+		checkTwoPart(t, body, dim, 1+int(cut)%(len(body)+1))
 	})
+}
+
+// checkTwoPart fails unless the two-part scan, cut at the first '[' from
+// offset from on, gives the one-part scan's verdict and values bit for
+// bit, on the hull body at dim and the stream body at want 0 and dim.
+// FuzzHTTPQuery holds the one-part results to encoding/json's, so the
+// two-part ones are held to them too. The forked side may see any bytes:
+// a cut can land outside the points array, or in a string after it.
+func checkTwoPart(t *testing.T, body []byte, dim, from int) {
+	t.Helper()
+	var hq, hq2 httpQuery
+	var q, q2 Query
+	one := scanner{b: body, from: -1}
+	two := scanner{b: body, from: from}
+	ok, ok2 := one.hullQuery(dim, &hq, &q), two.hullQuery(dim, &hq2, &q2)
+	if ok != ok2 || ok && (!reflect.DeepEqual(hq, hq2) || diffQuery(q2, q) != "") {
+		t.Fatalf("hull%dd %q cut from %d: accepted %v (%s), one-part %v", dim, body, from, ok2, diffQuery(q2, q), ok)
+	}
+	for _, want := range []int{0, dim} {
+		one, two := scanner{b: body, from: -1}, scanner{b: body, from: from}
+		p2, p3, pd, ok := one.pointsBody(want)
+		r2, r3, rd, ok2 := two.pointsBody(want)
+		if ok != ok2 || ok && (pd != rd || diffPoints(r2, p2, r3, p3) != "") {
+			t.Fatalf("stream dim %d %q cut from %d: accepted %v (%s, dim %d), one-part %v (dim %d)",
+				want, body, from, ok2, diffPoints(r2, p2, r3, p3), rd, ok, pd)
+		}
+	}
+}
+
+// TestWireSplitEveryCut runs the two-part scan of every corpus seed at
+// every cut offset; under go test -cpu 1,2 the second part runs both
+// inline and forked.
+func TestWireSplitEveryCut(t *testing.T) {
+	for _, body := range wireSeeds() {
+		for from := 1; from <= len(body); from++ {
+			checkTwoPart(t, []byte(body), 2, from)
+			checkTwoPart(t, []byte(body), 3, from)
+		}
+	}
 }
 
 // TestWireFastPathCovers: the bodies clients send in practice take the
@@ -252,6 +319,22 @@ func TestWireFastPathCovers(t *testing.T) {
 	} {
 		if _, _, _, ok := scanPoints([]byte(c.body), c.want); !ok {
 			t.Errorf("stream body (dim %d) fell back: %.80s", c.want, c.body)
+		}
+	}
+	// The served workloads' bodies take the fused loop for every point.
+	for _, c := range []struct {
+		dim int
+		pts [][]float64
+	}{{2, coords2(workload.Disk(1, 4096))}, {3, coords3(workload.Ball(2, 2048))}} {
+		arr, err := json.Marshal(c.pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := scanner{b: arr, i: 1}
+		pb := makePointBuf(c.dim, len(c.pts))
+		if !s.fused(c.dim, &pb, -1) || pb.len() != len(c.pts) || s.i != len(arr) {
+			t.Errorf("%d-d body of %d points: the fused loop took %d points, stopping at byte %d of %d",
+				c.dim, len(c.pts), pb.len(), s.i, len(arr))
 		}
 	}
 }
@@ -478,6 +561,30 @@ func BenchmarkDecodeHull3D(b *testing.B) {
 func BenchmarkDecodeStreamPUT(b *testing.B) {
 	body := wireBody(coords2(workload.Disk(3, 65536)), "")
 	benchDecode(b, body, pointsDecoder(decodePoints), pointsDecoder(referencePoints))
+}
+
+// BenchmarkDecodeSplit prices the two-part scan of a disk body's points
+// against the one-part scan, at sizes around splitBytes: the crossover
+// behind it. Run it at -cpu 1,2; with one processor the forked side waits
+// for the caller's.
+func BenchmarkDecodeSplit(b *testing.B) {
+	for _, n := range []int{512, 1024, 1280, 1536, 2048, 4096} {
+		body := wireBody(coords2(workload.Disk(1, n)), "")
+		for _, c := range []struct {
+			name string
+			from int
+		}{{"one", -1}, {"two", len(body) / 2}} {
+			b.Run(fmt.Sprintf("%dKB/%s", len(body)>>10, c.name), func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				for range b.N {
+					s := scanner{b: body, from: c.from}
+					if _, _, _, ok := s.pointsBody(2); !ok {
+						b.Fatal("body fell back")
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkEncodeChain: the answer to a 4096-point circle query (its
