@@ -2,7 +2,6 @@ package chain
 
 import (
 	"testing"
-	"testing/quick"
 
 	"inplacehull/internal/geom"
 	"inplacehull/internal/hull2d"
@@ -108,7 +107,6 @@ func TestTangentFromPoint(t *testing.T) {
 }
 
 func TestCommonTangent(t *testing.T) {
-	m := pram.New()
 	for seed := uint64(1); seed <= 8; seed++ {
 		s := rng.New(seed)
 		// Two disks side by side.
@@ -123,22 +121,6 @@ func TestCommonTangent(t *testing.T) {
 		if a.Right().X >= b.Left().X {
 			continue // overlapping x-ranges: precondition violated; skip
 		}
-		i, j := CommonTangent(m, a, b)
-		if i < 0 || j < 0 {
-			t.Fatalf("seed %d: no tangent found", seed)
-		}
-		u, w := a.V[i], b.V[j]
-		for _, v := range a.V {
-			if geom.AboveLine(v, u, w) {
-				t.Fatalf("seed %d: a-vertex %v above tangent", seed, v)
-			}
-		}
-		for _, v := range b.V {
-			if geom.AboveLine(v, u, w) {
-				t.Fatalf("seed %d: b-vertex %v above tangent", seed, v)
-			}
-		}
-		// Sequential variant must find a supporting line too.
 		si, sj := CommonTangentSeq(a, b)
 		su, sw := a.V[si], b.V[sj]
 		for _, v := range append(append([]geom.Point{}, a.V...), b.V...) {
@@ -152,7 +134,6 @@ func TestCommonTangent(t *testing.T) {
 func TestCommonTangentMergesHulls(t *testing.T) {
 	// The tangent of two x-separated hulls merges them into the hull of
 	// the union: verify against the reference.
-	m := pram.New()
 	s := rng.New(42)
 	var left, right []geom.Point
 	for i := 0; i < 200; i++ {
@@ -161,7 +142,7 @@ func TestCommonTangentMergesHulls(t *testing.T) {
 	}
 	a := Chain{V: hull2d.UpperHull(left)}
 	b := Chain{V: hull2d.UpperHull(right)}
-	i, j := CommonTangent(m, a, b)
+	i, j := CommonTangentSeq(a, b)
 	var merged []geom.Point
 	merged = append(merged, a.V[:i+1]...)
 	merged = append(merged, b.V[j:]...)
@@ -173,51 +154,6 @@ func TestCommonTangentMergesHulls(t *testing.T) {
 		if merged[k] != want[k] {
 			t.Fatalf("vertex %d: %v != %v", k, merged[k], want[k])
 		}
-	}
-}
-
-func TestIntersectLine(t *testing.T) {
-	c := Chain{V: []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 2}, {X: 4, Y: 0}}}
-	// Horizontal line at y=1 crosses twice: on edge 0 and edge 1.
-	u, w := geom.Point{X: -1, Y: 1}, geom.Point{X: 5, Y: 1}
-	got := c.IntersectLine(u, w)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("IntersectLine = %v, want [0 1]", got)
-	}
-	// Line above the chain: no crossing.
-	if got := c.IntersectLine(geom.Point{X: -1, Y: 5}, geom.Point{X: 5, Y: 5}); len(got) != 0 {
-		t.Fatalf("line above chain: %v", got)
-	}
-	// Line below-left cutting only the right slope.
-	got = c.IntersectLine(geom.Point{X: 0, Y: 3}, geom.Point{X: 4, Y: -1})
-	if len(got) != 1 {
-		t.Fatalf("single crossing expected: %v", got)
-	}
-}
-
-func TestIntersectLineQuick(t *testing.T) {
-	if err := quick.Check(func(seed uint64, m1, b1 int8) bool {
-		c := mkChain(seed%16+1, 100, workload.Disk)
-		u := geom.Point{X: -2, Y: float64(m1) / 40}
-		w := geom.Point{X: 2, Y: float64(b1) / 40}
-		edges := c.IntersectLine(u, w)
-		if len(edges) > 2 {
-			return false
-		}
-		// Verify each reported edge actually straddles the line.
-		for _, e := range edges {
-			if e < 0 || e+1 >= len(c.V) {
-				return false
-			}
-			aAbove := geom.AboveLine(c.V[e], u, w)
-			bAbove := geom.AboveLine(c.V[e+1], u, w)
-			if aAbove == bAbove {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

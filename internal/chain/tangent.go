@@ -80,48 +80,6 @@ func (c Chain) TangentFromPointBrute(m *pram.Machine, p geom.Point) int {
 	return int(win.Get())
 }
 
-// CommonTangent returns indices (i, j) such that the line through a.V[i]
-// and b.V[j] is the common upper tangent of chains a and b, where every
-// vertex of a lies at x < every vertex of b. O(1) steps with |a|·|b|
-// processors: each vertex pair checks local support on both chains — the
-// point-hull-invariant primitive of Lemma 2.6 ("finding the line defined
-// by two points corresponds to finding the common tangent").
-func CommonTangent(m *pram.Machine, a, b Chain) (int, int) {
-	na, nb := len(a.V), len(b.V)
-	if na == 0 || nb == 0 {
-		return -1, -1
-	}
-	var win pram.MinCell
-	win.InitMax()
-	m.StepAll(na*nb, func(q int) {
-		i, j := q/nb, q%nb
-		u, w := a.V[i], b.V[j]
-		// Local support: neighbors of u on a, and of w on b, must lie on
-		// or below line(u, w). On strictly convex chains local support at
-		// both endpoints implies global support.
-		if i > 0 && geom.AboveLine(a.V[i-1], u, w) {
-			return
-		}
-		if i < na-1 && geom.AboveLine(a.V[i+1], u, w) {
-			return
-		}
-		if j > 0 && geom.AboveLine(b.V[j-1], u, w) {
-			return
-		}
-		if j < nb-1 && geom.AboveLine(b.V[j+1], u, w) {
-			return
-		}
-		// Prefer the widest tangent (smallest i, largest j) among
-		// collinear candidates: encode so MinCell picks it.
-		win.Write(int64(i)*int64(nb) + int64(nb-1-j))
-	})
-	enc, _ := win.Get(), true
-	if enc == int64(^uint64(0)>>1) {
-		return -1, -1
-	}
-	return int(enc / int64(nb)), nb - 1 - int(enc%int64(nb))
-}
-
 // CommonTangentSeq is the sequential common tangent by nested binary
 // search: O(log |a| · log |b|).
 func CommonTangentSeq(a, b Chain) (int, int) {
@@ -143,168 +101,4 @@ func CommonTangentSeq(a, b Chain) (int, int) {
 		i, j = ni, nj
 	}
 	return i, j
-}
-
-// IntersectLine returns the at most two x-intervals' boundary indices where
-// the chain crosses the line through u, w — the chain analogue of "the
-// intersection of a line with an upper hull". It reports the edges (by
-// left-endpoint index) on which the chain crosses the line, at most two of
-// them, found by O(log q) binary searches around the extreme vertex.
-func (c Chain) IntersectLine(u, w geom.Point) []int {
-	n := len(c.V)
-	if n == 0 {
-		return nil
-	}
-	ext := c.ExtremeInDir(u, w)
-	if !geom.AboveLine(c.V[ext], u, w) {
-		return nil // whole chain on or below the line: no crossing
-	}
-	var out []int
-	// Left crossing: the chain rises above the line somewhere in
-	// [0, ext]; binary search for the first vertex above the line.
-	if !geom.AboveLine(c.V[0], u, w) {
-		lo, hi := 0, ext
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if geom.AboveLine(c.V[mid], u, w) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		out = append(out, lo-1) // crossing on edge (lo−1, lo)
-	}
-	// Right crossing: first vertex at or after ext that is back on/below.
-	if !geom.AboveLine(c.V[n-1], u, w) {
-		lo, hi := ext, n-1
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if geom.AboveLine(c.V[mid], u, w) {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		out = append(out, lo) // crossing on edge (lo, lo+1)
-	}
-	return out
-}
-
-// IntersectChains returns the crossing between two upper-hull chains that
-// intersect exactly once, as the pair of edge indices (ia, ib) such that
-// edge ia of a crosses edge ib of b — the third point-hull-invariant
-// primitive of §2.4 ("finding the intersection of two lines corresponds to
-// finding the intersection of two hulls (assuming, of course, that one
-// knows there can be only one intersection)"). The chains must overlap in
-// x and a must start above b and end below it (or vice versa) within the
-// overlap; returns ok = false when no crossing exists in the common
-// x-range. O(log |a| · log |b|) by nested binary search on the height
-// difference, which is monotone in sign under the single-crossing
-// assumption.
-func IntersectChains(a, b Chain) (ia, ib int, ok bool) {
-	if a.Len() == 0 || b.Len() == 0 {
-		return 0, 0, false
-	}
-	lo := a.Left().X
-	if b.Left().X > lo {
-		lo = b.Left().X
-	}
-	hi := a.Right().X
-	if b.Right().X < hi {
-		hi = b.Right().X
-	}
-	if lo > hi {
-		return 0, 0, false
-	}
-	diffSign := func(x float64) int {
-		ya, _ := a.HeightAt(x)
-		yb, _ := b.HeightAt(x)
-		switch {
-		case ya > yb:
-			return 1
-		case ya < yb:
-			return -1
-		default:
-			return 0
-		}
-	}
-	sLo, sHi := diffSign(lo), diffSign(hi)
-	if sLo == 0 {
-		sLo = -sHi
-	}
-	if sHi == 0 || sLo == sHi {
-		if sLo != sHi {
-			sHi = -sLo
-		} else {
-			return 0, 0, false
-		}
-	}
-	// Bisect on the vertex x-coordinates of both chains merged: the
-	// crossing lies between two consecutive breakpoints, where both
-	// chains are single segments.
-	xs := mergeXs(a, b, lo, hi)
-	loI, hiI := 0, len(xs)-1
-	for hiI-loI > 1 {
-		mid := (loI + hiI) / 2
-		s := diffSign(xs[mid])
-		if s == 0 {
-			loI, hiI = mid, mid+1
-			break
-		}
-		if s == sLo {
-			loI = mid
-		} else {
-			hiI = mid
-		}
-	}
-	ia = edgeAt(a, xs[loI], xs[hiI])
-	ib = edgeAt(b, xs[loI], xs[hiI])
-	return ia, ib, true
-}
-
-// mergeXs collects the breakpoints of both chains within [lo, hi],
-// including the interval ends, sorted ascending.
-func mergeXs(a, b Chain, lo, hi float64) []float64 {
-	var xs []float64
-	xs = append(xs, lo)
-	for _, v := range a.V {
-		if v.X > lo && v.X < hi {
-			xs = append(xs, v.X)
-		}
-	}
-	for _, v := range b.V {
-		if v.X > lo && v.X < hi {
-			xs = append(xs, v.X)
-		}
-	}
-	xs = append(xs, hi)
-	sortFloats(xs)
-	return xs
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// edgeAt returns the index of the edge of c that spans the open interval
-// (lo, hi); for a single-vertex chain it returns 0.
-func edgeAt(c Chain, lo, hi float64) int {
-	x := lo + (hi-lo)/2
-	n := len(c.V)
-	if n <= 1 {
-		return 0
-	}
-	for i := 0; i+1 < n; i++ {
-		if c.V[i].X <= x && x <= c.V[i+1].X {
-			return i
-		}
-	}
-	if x < c.V[0].X {
-		return 0
-	}
-	return n - 2
 }

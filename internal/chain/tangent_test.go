@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"inplacehull/internal/geom"
-	"inplacehull/internal/pram"
 )
 
 // Degenerate-input coverage for the common-tangent primitives — the merge
@@ -79,27 +78,6 @@ func TestCommonTangentSeqDegenerate(t *testing.T) {
 			}
 			i, j := CommonTangentSeq(tc.a, tc.b)
 			tangentOK(t, tc.a, tc.b, i, j)
-		})
-	}
-}
-
-func TestCommonTangentBruteDegenerate(t *testing.T) {
-	m := pram.New(pram.WithWorkers(1))
-	for _, tc := range degenerateTangentCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			i, j := CommonTangent(m, tc.a, tc.b)
-			tangentOK(t, tc.a, tc.b, i, j)
-			// The brute variant prefers the widest tangent; the sequential
-			// variant may pick any collinear-equivalent support pair, but
-			// the tangent LINE must dominate both chains either way
-			// (checked above for both). Cross-check the supports are
-			// mutually consistent: the seq pair also supports the brute
-			// line and vice versa.
-			si, sj := CommonTangentSeq(tc.a, tc.b)
-			bu, bw := tc.a.V[i], tc.b.V[j]
-			if geom.AboveLine(tc.a.V[si], bu, bw) || geom.AboveLine(tc.b.V[sj], bu, bw) {
-				t.Fatalf("seq support (%d,%d) above brute tangent (%d,%d)", si, sj, i, j)
-			}
 		})
 	}
 }

@@ -1,10 +1,11 @@
 // Package fork is the process-wide binary-forking token pool the direct
 // execution paths share: one fork slot per host processor beyond the
-// caller's own. A fork that cannot take a token runs inline, so recursion
-// degrades to sequential execution under contention instead of stacking
-// goroutines — the binary-forking discipline of the cache-oblivious hull
-// literature (Browne et al.): spawn at most one side of each divide,
-// never a goroutine per element.
+// caller's own. A fork that cannot take a token, or that is asked for
+// while GOMAXPROCS is 1, runs inline, so recursion degrades to sequential
+// execution under contention instead of stacking goroutines — the
+// binary-forking discipline of the cache-oblivious hull literature
+// (Browne et al.): spawn at most one side of each divide, never a
+// goroutine per element.
 //
 // The pool used to live inside internal/native; it moved here so the
 // admission-side culling filters (internal/cull) parallelize over the
@@ -26,11 +27,18 @@ func width() int {
 }
 
 // Parallel2 runs a and b, forking b onto another goroutine when a token is
-// available and inlining both otherwise. A panic on either side is
+// available and GOMAXPROCS is above 1 at the call, and inlining both
+// otherwise: the pool is sized once, so a later GOMAXPROCS(1) would leave
+// it a token no second processor backs. A panic on either side is
 // re-raised on the caller's goroutine after the forked side has returned
 // (a's when both panic), so the fork tree unwinds like ordinary
 // sequential code and holds no token once the panic reaches the caller.
 func Parallel2(a, b func()) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		a()
+		b()
+		return
+	}
 	select {
 	case tokens <- struct{}{}:
 		done := make(chan any, 1)

@@ -1,6 +1,7 @@
 package fork
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,6 +61,9 @@ func TestParallel2JoinsBeforePanic(t *testing.T) {
 	if cap(tokens) == 0 {
 		t.Skip("no fork tokens at GOMAXPROCS=1: both sides run inline")
 	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	var running atomic.Bool
 	started, release := make(chan struct{}), make(chan struct{})
 	func() {
@@ -91,6 +95,17 @@ func TestParallel2JoinsBeforePanic(t *testing.T) {
 	}
 }
 
+// TestParallel2InlineAtOneProc: with GOMAXPROCS at 1 both sides run on
+// the caller's goroutine, even when the pool, sized at start-up for more
+// processors, still holds a token.
+func TestParallel2InlineAtOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	noop := func() {}
+	if n := testing.AllocsPerRun(100, func() { Parallel2(noop, noop) }); n != 0 {
+		t.Fatalf("Parallel2 at GOMAXPROCS=1: %v allocs per call, want 0 (no fork)", n)
+	}
+}
+
 // TestParallel2NoTokenLeak exercises the pool deep enough that a leaked
 // token would exhaust the budget and serialize everything — the test
 // still passes then, but under -race it also checks the recover handoff.
@@ -114,9 +129,9 @@ func TestParallel2NoTokenLeak(t *testing.T) {
 // BenchmarkParallel2 prices one fork at serving sizes: the wait from the
 // call until the forked side starts running (start-ns/op). The caller's
 // side stays busy until then, as the first half of a split scan would,
-// for at most a millisecond. With one processor the forked side cannot
-// start until the caller's side is done, and start-ns/op reads that
-// millisecond.
+// for at most a millisecond. With one processor both sides run inline,
+// so the second starts once the caller's side is done, and start-ns/op
+// reads that millisecond.
 func BenchmarkParallel2(b *testing.B) {
 	var wait time.Duration
 	for range b.N {

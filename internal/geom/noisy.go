@@ -217,6 +217,3 @@ func (o *NoisyOracle) AboveLine(p, u, w Point) bool {
 	}
 	return o.Orientation(w, u, p) > 0
 }
-
-// BelowOrOnLine is the complement of AboveLine under the same oracle.
-func (o *NoisyOracle) BelowOrOnLine(p, u, w Point) bool { return !o.AboveLine(p, u, w) }

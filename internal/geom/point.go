@@ -99,10 +99,6 @@ func LineThrough(p, q Point) Line {
 // Eval returns the y-value of the line at x.
 func (l Line) Eval(x float64) float64 { return l.M*x + l.B }
 
-// IntersectX returns the x-coordinate where lines l and o intersect. The
-// lines must not be parallel.
-func (l Line) IntersectX(o Line) float64 { return (o.B - l.B) / (l.M - o.M) }
-
 // Edge is a directed upper-hull edge from U to W with U.X < W.X.
 type Edge struct {
 	U, W Point

@@ -61,22 +61,3 @@ func TestStringers(t *testing.T) {
 		t.Fatalf("3d string: %s", (Point3{1, 2, 3}).String())
 	}
 }
-
-func TestBelowOrOnLine(t *testing.T) {
-	u, w := Point{0, 0}, Point{2, 0}
-	if !BelowOrOnLine(Point{1, 0}, u, w) || !BelowOrOnLine(Point{1, -1}, u, w) {
-		t.Fatal("on/below rejected")
-	}
-	if BelowOrOnLine(Point{1, 1}, u, w) {
-		t.Fatal("above accepted")
-	}
-}
-
-func TestCollinearPredicate(t *testing.T) {
-	if !Collinear(Point{0, 0}, Point{1, 1}, Point{2, 2}) {
-		t.Fatal("collinear rejected")
-	}
-	if Collinear(Point{0, 0}, Point{1, 1}, Point{2, 3}) {
-		t.Fatal("non-collinear accepted")
-	}
-}

@@ -131,9 +131,6 @@ func orientation3Exact(a, b, c, d Point3) int {
 	return -det.Sign()
 }
 
-// Collinear reports whether a, b, c are exactly collinear.
-func Collinear(a, b, c Point) bool { return Orientation(a, b, c) == 0 }
-
 // AboveLine reports whether point p lies strictly above the line through u
 // and w (u.X must differ from w.X). Equivalent to the exact comparison
 // p.Y > l.Eval(p.X) but evaluated robustly via the orientation predicate.
@@ -143,6 +140,3 @@ func AboveLine(p, u, w Point) bool {
 	}
 	return Orientation(w, u, p) > 0
 }
-
-// BelowOrOnLine reports whether p lies on or below the line through u, w.
-func BelowOrOnLine(p, u, w Point) bool { return !AboveLine(p, u, w) }

@@ -141,14 +141,6 @@ func TestLineThroughAndEval(t *testing.T) {
 	}
 }
 
-func TestLineIntersectX(t *testing.T) {
-	l1 := Line{M: 1, B: 0}
-	l2 := Line{M: -1, B: 4}
-	if x := l1.IntersectX(l2); x != 2 {
-		t.Fatalf("intersection x = %v, want 2", x)
-	}
-}
-
 func TestPlaneThrough(t *testing.T) {
 	p := PlaneThrough(Point3{0, 0, 1}, Point3{1, 0, 3}, Point3{0, 1, 4})
 	// z = 2x + 3y + 1.

@@ -18,11 +18,6 @@ func BenchmarkSequentialBaselines(b *testing.B) {
 			UpperHull(disk)
 		}
 	})
-	b.Run("dc/disk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DivideAndConquerUpper(disk)
-		}
-	})
 	b.Run("quickhull/disk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			QuickHullUpper(disk)

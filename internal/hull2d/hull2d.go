@@ -121,20 +121,6 @@ func dedupeVerticalEnds(h []geom.Point) []geom.Point {
 	return h
 }
 
-// LowerHull returns the lower hull of pts (leftmost to rightmost point,
-// curving left).
-func LowerHull(pts []geom.Point) []geom.Point {
-	neg := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		neg[i] = geom.Point{X: p.X, Y: -p.Y}
-	}
-	uh := UpperHull(neg)
-	for i, p := range uh {
-		uh[i] = geom.Point{X: p.X, Y: -p.Y}
-	}
-	return uh
-}
-
 // FullHull returns the strictly convex hull polygon of pts in CCW order,
 // starting at the lexicographically smallest vertex, via monotone chain.
 // Vertical hull edges (several extreme points sharing x) are preserved.
@@ -154,27 +140,6 @@ func FullHull(pts []geom.Point) []geom.Point {
 		hull = append(hull, upper[i])
 	}
 	return hull
-}
-
-func lowerOfSorted(s []geom.Point) []geom.Point {
-	h := rawLower(s)
-	// Collapse vertical end edges toward the *bottom* points, giving a
-	// strictly x-increasing lower chain.
-	for len(h) >= 2 && h[0].X == h[1].X {
-		if h[0].Y > h[1].Y {
-			h = h[1:]
-		} else {
-			h = append(h[:1], h[2:]...)
-		}
-	}
-	for len(h) >= 2 && h[len(h)-1].X == h[len(h)-2].X {
-		if h[len(h)-1].Y > h[len(h)-2].Y {
-			h = h[:len(h)-1]
-		} else {
-			h = append(h[:len(h)-2], h[len(h)-1])
-		}
-	}
-	return h
 }
 
 // IsUpperHull reports whether chain is a valid strict upper hull of pts:

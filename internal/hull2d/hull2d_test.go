@@ -85,7 +85,6 @@ func TestUpperHullInvariants(t *testing.T) {
 func TestAllUpperAlgorithmsAgree(t *testing.T) {
 	algos := map[string]func([]geom.Point) []geom.Point{
 		"quickhull": QuickHullUpper,
-		"jarvis":    JarvisUpper,
 		"chan":      mustChan,
 		"ks":        KirkpatrickSeidel,
 	}
@@ -163,8 +162,7 @@ func TestUpperHullQuick(t *testing.T) {
 		want := UpperHull(pts)
 		return equalChains(QuickHullUpper(pts), want) &&
 			equalChains(KirkpatrickSeidel(pts), want) &&
-			equalChains(mustChan(pts), want) &&
-			equalChains(JarvisUpper(pts), want)
+			equalChains(mustChan(pts), want)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,19 +195,6 @@ func TestKSOpsOutputSensitive(t *testing.T) {
 	_, opsCirc := KirkpatrickSeidelOps(circ)
 	if opsFew*2 > opsCirc {
 		t.Fatalf("KS not output sensitive: ops(h=16)=%d vs ops(h=n)=%d", opsFew, opsCirc)
-	}
-}
-
-func TestUpperLowerConsistency(t *testing.T) {
-	pts := workload.Disk(11, 400)
-	up := UpperHull(pts)
-	lo := LowerHull(pts)
-	if up[0].X != lo[0].X || up[len(up)-1].X != lo[len(lo)-1].X {
-		t.Fatal("upper and lower hulls must share extreme x-coordinates")
-	}
-	full := FullHull(pts)
-	if len(full) != len(up)+len(lo)-2 {
-		t.Fatalf("full hull size %d != upper %d + lower %d − 2", len(full), len(up), len(lo))
 	}
 }
 

@@ -49,33 +49,3 @@ func Jarvis(pts []geom.Point) []geom.Point {
 	}
 	return hull
 }
-
-// JarvisUpper returns only the upper hull by wrapping from the leftmost to
-// the rightmost point.
-func JarvisUpper(pts []geom.Point) []geom.Point {
-	full := Jarvis(pts)
-	if len(full) <= 2 {
-		return tinyUpper(sortUnique(full))
-	}
-	// full is CCW from lexicographic min; the upper hull is the portion
-	// from the rightmost vertex back around to the leftmost, reversed.
-	maxI := 0
-	for i, p := range full {
-		if !geom.LexLess(p, full[maxI]) {
-			maxI = i
-		}
-	}
-	var upper []geom.Point
-	for i := maxI; ; i = (i + 1) % len(full) {
-		upper = append(upper, full[i])
-		if i == 0 {
-			break
-		}
-	}
-	// Reverse into increasing x, then collapse any vertical end edges to
-	// their topmost points so the chain is strictly x-monotone.
-	for i, j := 0, len(upper)-1; i < j; i, j = i+1, j-1 {
-		upper[i], upper[j] = upper[j], upper[i]
-	}
-	return dedupeVerticalEnds(upper)
-}

@@ -43,17 +43,3 @@ func BenchmarkSortByKey(b *testing.B) {
 		SortByKey(m, n, func(i int) float64 { return keys[i] })
 	}
 }
-
-func BenchmarkListRank(b *testing.B) {
-	n := 1 << 14
-	next := make([]int, n)
-	for i := range next {
-		next[i] = i + 1
-	}
-	next[n-1] = -1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := pram.New()
-		ListRank(m, next)
-	}
-}

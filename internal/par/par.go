@@ -1,8 +1,8 @@
 // Package par implements the standard CRCW PRAM primitives the paper's
 // algorithms invoke: constant-time first-one (Observation 2.1, the
 // Eppstein–Galil √-block technique), work-efficient prefix sums, exact
-// compaction, reductions via combining writes, and an order-preserving
-// radix sort used by the fallback path of the unsorted algorithms.
+// compaction, and an order-preserving radix sort used by the fallback
+// path of the unsorted algorithms.
 //
 // Every primitive takes the *pram.Machine it runs on and is charged
 // honestly: the step and work counts reported by the machine are the counts
@@ -14,73 +14,6 @@ import (
 
 	"inplacehull/internal/pram"
 )
-
-// Or computes the disjunction of pred(p) over p in [0, n) in one step with
-// n processors (Common CRCW concurrent write).
-func Or(m *pram.Machine, n int, pred func(p int) bool) bool {
-	var cell pram.OrCell
-	m.StepAll(n, func(p int) {
-		if pred(p) {
-			cell.Set()
-		}
-	})
-	return cell.Get()
-}
-
-// CountTrue counts the processors in [0, n) for which pred holds, using a
-// prefix-sum tree: O(log n) steps, O(n) work.
-func CountTrue(m *pram.Machine, n int, pred func(p int) bool) int {
-	bits := make([]int64, n)
-	m.StepAll(n, func(p int) {
-		if pred(p) {
-			bits[p] = 1
-		}
-	})
-	return int(Sum(m, bits))
-}
-
-// Sum reduces xs by addition with a balanced tree: O(log n) steps, O(n)
-// work. xs is consumed as scratch (its contents are destroyed).
-func Sum(m *pram.Machine, xs []int64) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	for stride := 1; stride < n; stride <<= 1 {
-		s := stride
-		m.Step((n+2*s-1)/(2*s), func(p int) bool {
-			i := 2 * s * p
-			if i+s < n {
-				xs[i] += xs[i+s]
-				return true
-			}
-			return false
-		})
-	}
-	return xs[0]
-}
-
-// MaxIndex returns the index of the maximum of key(p) over [0, n),
-// resolving ties toward the lowest index. O(log n) steps, O(n) work.
-func MaxIndex(m *pram.Machine, n int, key func(p int) float64) int {
-	idx := make([]int64, n)
-	m.StepAll(n, func(p int) { idx[p] = int64(p) })
-	for stride := 1; stride < n; stride <<= 1 {
-		s := stride
-		m.Step((n+2*s-1)/(2*s), func(p int) bool {
-			i := 2 * s * p
-			if i+s < n {
-				a, b := idx[i], idx[i+s]
-				if key(int(b)) > key(int(a)) {
-					idx[i] = b
-				}
-				return true
-			}
-			return false
-		})
-	}
-	return int(idx[0])
-}
 
 // FirstOne returns the lowest p in [0, n) with bit(p) true, or −1 if none,
 // in O(1) steps with O(n) processors — the constant-time CRCW technique of

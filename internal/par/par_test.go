@@ -10,61 +10,6 @@ import (
 	"inplacehull/internal/rng"
 )
 
-func TestOr(t *testing.T) {
-	m := pram.New()
-	if Or(m, 1000, func(p int) bool { return false }) {
-		t.Fatal("all-false OR returned true")
-	}
-	if !Or(m, 1000, func(p int) bool { return p == 999 }) {
-		t.Fatal("OR missed the set bit")
-	}
-	if m.Time() != 2 {
-		t.Fatalf("Or must cost one step each, took %d total", m.Time())
-	}
-}
-
-func TestCountTrue(t *testing.T) {
-	m := pram.New()
-	got := CountTrue(m, 10000, func(p int) bool { return p%3 == 0 })
-	want := (10000 + 2) / 3
-	if got != want {
-		t.Fatalf("CountTrue = %d, want %d", got, want)
-	}
-}
-
-func TestSum(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 100, 1023, 1024, 1025, 65536} {
-		m := pram.New()
-		xs := make([]int64, n)
-		var want int64
-		for i := range xs {
-			xs[i] = int64(i % 17)
-			want += xs[i]
-		}
-		if got := Sum(m, xs); got != want {
-			t.Fatalf("n=%d: Sum = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestSumStepsLogarithmic(t *testing.T) {
-	m := pram.New()
-	xs := make([]int64, 1<<16)
-	Sum(m, xs)
-	if m.Time() > 20 {
-		t.Fatalf("Sum of 2^16 took %d steps; want ≤ log n + c", m.Time())
-	}
-}
-
-func TestMaxIndex(t *testing.T) {
-	m := pram.New()
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 9}
-	got := MaxIndex(m, len(vals), func(p int) float64 { return vals[p] })
-	if got != 5 {
-		t.Fatalf("MaxIndex = %d, want 5 (first of the ties)", got)
-	}
-}
-
 func TestFirstOne(t *testing.T) {
 	m := pram.New()
 	for _, tc := range []struct {
